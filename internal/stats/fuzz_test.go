@@ -76,7 +76,8 @@ func FuzzBootstrapCI(f *testing.F) {
 
 // TestBootstrapMatchesReference runs the fuzz comparison over a fixed
 // sweep of random histories: 1 to 20 samples with frequent ties, 1 to
-// 1000 resamples, any confidence.
+// 1000 resamples, any confidence; then over pools too large for the
+// dense pair table, and an empty one.
 func TestBootstrapMatchesReference(t *testing.T) {
 	cases := 2000
 	if testing.Short() {
@@ -95,6 +96,14 @@ func TestBootstrapMatchesReference(t *testing.T) {
 			Confidence: rng.Float64(),
 		})
 	}
+	for _, n := range []int{257, 300} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(n / 2))
+		}
+		checkBootstrap(t, xs, Options{Resamples: 200, Seed: int64(n), Confidence: 0.9})
+	}
+	checkBootstrap(t, nil, Options{Resamples: 10, Confidence: 0.95})
 }
 
 func BenchmarkBootstrapCI(b *testing.B) {

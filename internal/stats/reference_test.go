@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -21,4 +22,19 @@ func sortBootstrapCI(xs []float64, o Options) (lo, hi float64) {
 	sort.Float64s(meds)
 	alpha := (1 - o.Confidence) / 2
 	return quantileSorted(meds, alpha), quantileSorted(meds, 1-alpha)
+}
+
+// quantileSorted returns the q-quantile of an ascending slice by
+// linear interpolation between closest ranks.
+func quantileSorted(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	pos := q * float64(len(s)-1)
+	i := int(math.Floor(pos))
+	if i >= len(s)-1 {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(i)
+	return s[i]*(1-frac) + s[i+1]*frac
 }

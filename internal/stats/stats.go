@@ -15,8 +15,11 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -115,8 +118,7 @@ func Median(xs []float64) float64 {
 }
 
 // medianInPlace sorts s and returns its median — the allocation-free
-// core for callers that own their slice (the bootstrap reuses one
-// scratch buffer across a thousand resamples).
+// core for callers that own their slice.
 func medianInPlace(s []float64) float64 {
 	n := len(s)
 	if n == 0 {
@@ -180,34 +182,129 @@ func Summarize(xs []float64, o Options) Band {
 // bootstrapCI returns the percentile confidence interval of the median
 // under resampling with replacement, on a PRNG seeded from o.Seed —
 // fully deterministic for a given (history, options) pair.
+//
+// It counts ranks instead of sorting: xs is ordered once, each
+// resample tallies its draws, and its median is read off the tallies
+// as a (lower, upper) central-rank pair. Medians are counted per pair,
+// so the percentiles come from cumulative counts over the few distinct
+// medians instead of a sort of o.Resamples floats. Draws replay
+// rand.Rand.Intn over the same source, so every result is
+// bit-identical to sorting each resample (for any input without NaNs
+// or a mix of signed zeros, which no order ranks).
 func bootstrapCI(xs []float64, o Options) (lo, hi float64) {
-	rng := rand.New(rand.NewSource(o.Seed))
-	meds := make([]float64, o.Resamples)
-	resample := make([]float64, len(xs))
-	for i := range meds {
-		for j := range resample {
-			resample[j] = xs[rng.Intn(len(xs))]
-		}
-		// In-place: resample is rebuilt from scratch next round, so
-		// sorting it here costs nothing and saves a copy per resample.
-		meds[i] = medianInPlace(resample)
+	n := len(xs)
+	if n == 0 {
+		return 0, 0
 	}
-	sort.Float64s(meds)
+	// order lists xs's indices in ascending value order.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
+
+	// rand.Rand.Intn(n) for n < 2^31, inlined: mask a power of two,
+	// otherwise reject the top partial range and reduce. The reduction
+	// is v % n, computed exactly by multiplication (Lemire's fastmod).
+	src := rand.NewSource(o.Seed)
+	bound := int32(n)
+	pow2 := bound&(bound-1) == 0
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(bound))
+	magic := ^uint64(0)/uint64(n) + 1
+
+	// A resample's median sits at its central order statistics kLo and
+	// kHi (equal for odd n). Medians are counted by their (lo, hi) rank
+	// pair, keyed hi*n + lo: densely for the pools the gate windows
+	// (20 samples by default), in a map beyond that.
+	kLo, kHi := (n-1)/2, n/2
+	tally := make([]int32, n) // draws per index of xs
+	var dense []int32
+	var sparse map[int]int32
+	if n <= 256 {
+		dense = make([]int32, n*n)
+	} else {
+		sparse = make(map[int]int32)
+	}
+	for i := 0; i < o.Resamples; i++ {
+		for j := 0; j < n; j++ {
+			v := int32(src.Int63() >> 32)
+			if pow2 {
+				v &= bound - 1
+			} else {
+				for v > limit {
+					v = int32(src.Int63() >> 32)
+				}
+				q, _ := bits.Mul64(magic*uint64(v), uint64(n))
+				v = int32(q)
+			}
+			tally[v]++
+		}
+		r, seen := 0, int(tally[order[0]])
+		for seen <= kLo {
+			r++
+			seen += int(tally[order[r]])
+		}
+		rLo := r
+		for seen <= kHi {
+			r++
+			seen += int(tally[order[r]])
+		}
+		if dense != nil {
+			dense[r*n+rLo]++
+		} else {
+			sparse[r*n+rLo]++
+		}
+		clear(tally)
+	}
+
+	// The distinct medians in ascending order, with their counts.
+	type median struct {
+		v float64
+		n int
+	}
+	var meds []median
+	add := func(key int, c int32) {
+		l, h := xs[order[key%n]], xs[order[key/n]]
+		v := l
+		if n%2 == 0 {
+			v = (l + h) / 2
+		}
+		meds = append(meds, median{v, int(c)})
+	}
+	for key, c := range dense {
+		if c > 0 {
+			add(key, c)
+		}
+	}
+	for key, c := range sparse {
+		add(key, c)
+	}
+	slices.SortFunc(meds, func(a, b median) int { return cmp.Compare(a.v, b.v) })
+	// at returns the k-th smallest of the o.Resamples medians.
+	at := func(k int) float64 {
+		for _, m := range meds {
+			if k < m.n {
+				return m.v
+			}
+			k -= m.n
+		}
+		return meds[len(meds)-1].v
+	}
 	alpha := (1 - o.Confidence) / 2
-	return quantileSorted(meds, alpha), quantileSorted(meds, 1-alpha)
+	return quantile(o.Resamples, alpha, at), quantile(o.Resamples, 1-alpha, at)
 }
 
-// quantileSorted returns the q-quantile of an ascending slice by
-// linear interpolation between closest ranks.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
+// quantile returns the q-quantile of n ascending values, the k-th of
+// which is at(k), by linear interpolation between closest ranks.
+func quantile(n int, q float64, at func(int) float64) float64 {
+	if n == 0 {
 		return 0
 	}
-	pos := q * float64(len(s)-1)
+	pos := q * float64(n-1)
 	i := int(math.Floor(pos))
-	if i >= len(s)-1 {
-		return s[len(s)-1]
+	if i >= n-1 {
+		return at(n - 1)
 	}
 	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
+	return at(i)*(1-frac) + at(i+1)*frac
 }

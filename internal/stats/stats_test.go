@@ -179,16 +179,26 @@ func TestBootstrapWidensTightMargin(t *testing.T) {
 	}
 }
 
+// TestQuantileSorted pins the interpolation both bootstraps share: the
+// reference reads a sorted slice, bootstrapCI an order-statistic
+// accessor.
 func TestQuantileSorted(t *testing.T) {
 	s := []float64{1, 2, 3, 4}
+	at := func(k int) float64 { return s[k] }
 	for _, tc := range []struct{ q, want float64 }{
 		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
 	} {
 		if got := quantileSorted(s, tc.q); !close(got, tc.want) {
+			t.Errorf("quantileSorted(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+		if got := quantile(len(s), tc.q, at); !close(got, tc.want) {
 			t.Errorf("quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
 	if got := quantileSorted(nil, 0.5); got != 0 {
+		t.Errorf("quantileSorted(empty) = %v, want 0", got)
+	}
+	if got := quantile(0, 0.5, at); got != 0 {
 		t.Errorf("quantile(empty) = %v, want 0", got)
 	}
 }
