@@ -367,17 +367,17 @@ func show(w io.Writer, st *store.Store, pattern, label string, sg store.StatGate
 			runs = append(runs, rr)
 		}
 	}
-	byCell := make(map[string][]cellEntry)
-	names := make(map[string]string)
+	byCell := make(map[store.CellRef][]cellEntry)
+	names := make(map[store.CellRef]string)
 	for _, rr := range runs {
 		for _, c := range rr.Cells {
 			name := store.CellName(c)
 			if !strings.Contains(name, pattern) {
 				continue
 			}
-			id := store.CellID(c)
-			names[id] = name
-			byCell[id] = append(byCell[id], cellEntry{
+			ref := store.RefOfRecord(c)
+			names[ref] = name
+			byCell[ref] = append(byCell[ref], cellEntry{
 				time:  rr.Time.Format("2006-01-02T15:04:05Z"),
 				label: rr.Label,
 				rec:   c,
@@ -387,20 +387,20 @@ func show(w io.Writer, st *store.Store, pattern, label string, sg store.StatGate
 	if len(byCell) == 0 {
 		return fmt.Errorf("no recorded cell matches %q (names look like arm/mem.hot/interp@64)", pattern)
 	}
-	ids := make([]string, 0, len(byCell))
-	for id := range byCell {
-		ids = append(ids, id)
+	refs := make([]store.CellRef, 0, len(byCell))
+	for ref := range byCell {
+		refs = append(refs, ref)
 	}
-	sort.Strings(ids)
+	sort.Slice(refs, func(i, j int) bool { return names[refs[i]] < names[refs[j]] })
 	// The gate's own pool construction — fresh samples, per-cell
 	// window — so show's n/band/gate can never diverge from diff's.
 	allSamples := store.Samples(runs)
-	for _, id := range ids {
-		entries := byCell[id]
-		samples := sg.Pool(allSamples[id])
-		band := sg.Band(id, samples)
+	for _, ref := range refs {
+		entries := byCell[ref]
+		samples := sg.Pool(allSamples[ref])
+		band := sg.Band(ref, samples)
 		t := report.Table{
-			Title:   fmt.Sprintf("Cell %s — %d runs recorded", names[id], len(entries)),
+			Title:   fmt.Sprintf("Cell %s — %d runs recorded", names[ref], len(entries)),
 			Columns: []string{"time", "label", "kernel", "vs median"},
 		}
 		for _, e := range entries {

@@ -44,40 +44,46 @@ func RenderOffline(sp Spec, o Options) error {
 }
 
 // RenderOfflineAll renders several specs offline against one store.
-// Coverage resolves from the store's compacted cell index — against a
-// fleet store that is one /index round trip, not a download and
-// re-parse of the whole history — built once and shared by every spec.
-// The full history stream is only fetched (once) when some spec wants
-// noise annotations, which need the complete sample pool. Rendering
-// stops at the first failing spec, whose error lists all of its
-// missing cells.
+// The store resolves the cell index and, when some spec wants noise
+// annotations, the full history they pool over, in one call: a local
+// store decodes its history once for both, while a fleet store answers
+// the index from one /index round trip instead of a download and
+// re-parse of the whole history. Every spec shares the index and one
+// memoized noise lookup. Rendering stops at the first failing spec,
+// whose error lists all of its missing cells.
 func RenderOfflineAll(specs []Spec, o Options) error {
 	if o.Store == nil {
 		return errors.New("experiment: offline rendering needs a store (-cache-dir or -remote)")
 	}
-	idx, err := o.Store.CellIndex()
+	wantNoise := false
+	for _, sp := range specs {
+		wantNoise = wantNoise || sp.Noise
+	}
+	idx, runs, err := o.Store.CellIndexAndHistory(wantNoise)
 	if err != nil {
 		return err
 	}
-	var runs []store.RunRecord
-	for _, sp := range specs {
-		if sp.Noise {
-			if runs, err = o.Store.History(); err != nil {
-				return err
-			}
-			break
-		}
+	var noise func(report.Record) *stats.Band
+	if wantNoise && len(runs) > 0 {
+		// The annotation source a warm online run would use right now:
+		// the full recorded history (which, unlike the run that took a
+		// cell's newest measurement, includes that measurement in the
+		// pool — the byte-identity contract is with a warm rerun, not
+		// with the measuring run's own output). Offline appends
+		// nothing, so rendering twice gives the same bands.
+		noise = store.NoiseLookup(runs, store.StatGate{})
 	}
 	for _, sp := range specs {
-		if err := renderOffline(sp, o, runs, idx); err != nil {
+		if err := renderOffline(sp, o, idx, noise); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// renderOffline renders one spec from pre-parsed, pre-indexed history.
-func renderOffline(sp Spec, o Options, runs []store.RunRecord, idx map[store.CellRef]string) error {
+// renderOffline renders one spec from a pre-built cell index, with
+// noise annotations from the shared lookup when the spec asks for them.
+func renderOffline(sp Spec, o Options, idx map[store.CellRef]string, noise func(report.Record) *stats.Band) error {
 	r, err := sp.resolve()
 	if err != nil {
 		return err
@@ -91,15 +97,8 @@ func renderOffline(sp Spec, o Options, runs []store.RunRecord, idx map[store.Cel
 	if len(missing) > 0 {
 		return &MissingCellsError{Spec: sp.Name, Total: len(results), Missing: missing}
 	}
-	var noise func(report.Record) *stats.Band
-	if sp.Noise && len(runs) > 0 {
-		// The annotation source a warm online run would use right now:
-		// the full recorded history (which, unlike the run that took a
-		// cell's newest measurement, includes that measurement in the
-		// pool — the byte-identity contract is with a warm rerun, not
-		// with the measuring run's own output). Offline appends
-		// nothing, so rendering twice gives the same bands.
-		noise = store.NoiseLookup(runs, store.StatGate{})
+	if !sp.Noise {
+		noise = nil
 	}
 	return r.render(&eff, results, noise)
 }

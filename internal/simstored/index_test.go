@@ -275,4 +275,17 @@ func TestRemoteCellIndex(t *testing.T) {
 	if expo := exposition(t, srv); !hasSample(expo, `route="/index"`, `code="200"`) {
 		t.Error("CellIndex did not go through the /index endpoint")
 	}
+	// Asked for the history as well (an offline render with noise
+	// bands), the store still takes the index from /index and streams
+	// the runs alongside.
+	idx, all, err := st.CellIndexAndHistory(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(idx, got) || len(all) != len(runs) {
+		t.Errorf("CellIndexAndHistory = %v and %d runs, want %v and %d runs", idx, len(all), got, len(runs))
+	}
+	if expo := exposition(t, srv); !hasSample(expo, `route="/index"`, `code="200"`, "} 2") {
+		t.Error("CellIndexAndHistory did not go through the /index endpoint")
+	}
 }

@@ -154,27 +154,41 @@ func (c IndexCell) Ref() CellRef {
 }
 
 // CellIndex resolves the newest-successful-measurement map offline
-// rendering covers from. With a live remote tier attached it asks the
-// server's compacted /index endpoint — one round trip of O(cells), not
-// a download and re-parse of the whole fleet history — falling back to
-// History plus CoverageIndex when the server predates the endpoint
-// (and for local and degraded stores, where the history is all there
-// is).
+// rendering covers from; see CellIndexAndHistory.
 func (s *Store) CellIndex() (map[CellRef]string, error) {
+	idx, _, err := s.CellIndexAndHistory(false)
+	return idx, err
+}
+
+// CellIndexAndHistory resolves what an offline render reads from the
+// store: the cell index coverage resolves from and, when withHistory
+// is set, the full run history noise bands pool over. With a live
+// remote tier the index comes from the server's compacted /index
+// endpoint — one round trip of O(cells), not a download and re-parse
+// of the whole fleet history — and the history is fetched only when
+// asked for. Everywhere else (local and degraded stores, or a server
+// predating the endpoint) the history is all there is: it is decoded
+// once, and the index is built from those same runs, which are
+// returned whether or not they were asked for.
+func (s *Store) CellIndexAndHistory(withHistory bool) (idx map[CellRef]string, runs []RunRecord, err error) {
 	if s.remote != nil && !s.remote.Down() {
 		idx, ok, err := s.remote.CellIndex()
 		if err != nil {
-			return nil, fmt.Errorf("store: remote index: %w", err)
+			return nil, nil, fmt.Errorf("store: remote index: %w", err)
 		}
 		if ok {
-			return idx, nil
+			if withHistory {
+				if runs, err = s.History(); err != nil {
+					return nil, nil, err
+				}
+			}
+			return idx, runs, nil
 		}
 	}
-	runs, err := s.History()
-	if err != nil {
-		return nil, err
+	if runs, err = s.History(); err != nil {
+		return nil, nil, err
 	}
-	return CoverageIndex(runs), nil
+	return CoverageIndex(runs), runs, nil
 }
 
 // Coverage is Has over a whole matrix: it resolves every job of an

@@ -15,6 +15,7 @@ type CellDiff struct {
 	Arch      string
 	Iters     int64
 	Repeats   int
+	Cores     int
 
 	// BaseSeconds and CurrentSeconds are the kernel times of the two
 	// runs; Delta is CurrentSeconds/BaseSeconds - 1, so positive means
@@ -35,9 +36,14 @@ type CellDiff struct {
 	Gate string
 }
 
-// Cell names the cell the way the scheduler does, plus its scale.
+// Cell names the cell the way the scheduler does, plus its scale and,
+// above one guest core, its core count.
 func (c CellDiff) Cell() string {
-	return fmt.Sprintf("%s/%s/%s@%d", c.Arch, c.Benchmark, c.Engine, c.Iters)
+	s := fmt.Sprintf("%s/%s/%s@%d", c.Arch, c.Benchmark, c.Engine, c.Iters)
+	if c.Cores > 1 {
+		s += fmt.Sprintf("@%dc", c.Cores)
+	}
+	return s
 }
 
 // Diff is the cell-by-cell comparison of two runs.
@@ -56,7 +62,7 @@ type Diff struct {
 	Improvements []CellDiff
 	// Stable counts common cells within the threshold either way.
 	Stable int
-	// Broken names cells measured in the baseline but errored (or
+	// Broken names cells (by CellName) measured in the baseline but errored (or
 	// unmeasured) in the current run — going from working to broken
 	// must fail a regression gate, so they count towards Regressed.
 	Broken []string
@@ -71,14 +77,6 @@ type Diff struct {
 // Regressed reports whether any cell regressed past the threshold or
 // broke outright.
 func (d Diff) Regressed() bool { return len(d.Regressions) > 0 || len(d.Broken) > 0 }
-
-// cellID keys a record by everything that identifies a cell within a
-// run: coordinates and scale. Engine here is the display name — diffs
-// compare like-named columns across time, which is exactly what "did
-// my simulator get slower" asks.
-func cellID(r report.Record) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d", r.Arch, r.Benchmark, r.Engine, r.Iters, r.Repeats)
-}
 
 func measured(r report.Record) bool { return r.Error == "" && r.KernelSeconds > 0 }
 
@@ -103,7 +101,9 @@ func fixedJudge(threshold float64, base, cur report.Record) judgment {
 }
 
 // DiffRuns compares two recorded runs cell by cell. Cells are matched
-// by (arch, benchmark, engine, iters, repeats); a matched pair counts
+// by RefOfRecord — (arch, benchmark, engine, iters, repeats, cores),
+// with engine the display name: "did my simulator get slower" compares
+// like-named columns across time. A matched pair counts
 // as regressed when the current kernel time exceeds the baseline by
 // more than threshold (e.g. 0.10 = 10 % slower), and as improved when
 // it undercuts it by more than threshold. A cell the baseline measured
@@ -142,14 +142,14 @@ func DiffRunsStat(base, current RunRecord, history []RunRecord, g StatGate) Diff
 	g = g.fill()
 	samples := Samples(history)
 	d := diffRuns(base, current, func(b, cur report.Record) judgment {
-		id := cellID(cur)
-		xs := g.Pool(samples[id])
+		ref := RefOfRecord(cur)
+		xs := g.Pool(samples[ref])
 		if len(xs) < g.MinHistory {
 			j := fixedJudge(g.Threshold, b, cur)
 			j.gate = fmt.Sprintf("fixed (history n=%d)", len(xs))
 			return j
 		}
-		band := g.Band(id, xs)
+		band := g.Band(ref, xs)
 		gate := "stat"
 		if band.Degenerate() {
 			// The floor: a history with zero spread would flag any
@@ -191,39 +191,39 @@ func DiffRunsStat(base, current RunRecord, history []RunRecord, g StatGate) Diff
 // matched, measured pair.
 func diffRuns(base, current RunRecord, judge func(base, cur report.Record) judgment) Diff {
 	var d Diff
-	baseByID := make(map[string]report.Record, len(base.Cells))
-	var baseUnmeasured []string
+	baseByRef := make(map[CellRef]report.Record, len(base.Cells))
+	var baseUnmeasured []report.Record
 	for _, r := range base.Cells {
 		if measured(r) {
-			baseByID[cellID(r)] = r
+			baseByRef[RefOfRecord(r)] = r
 		} else {
-			baseUnmeasured = append(baseUnmeasured, cellID(r))
+			baseUnmeasured = append(baseUnmeasured, r)
 		}
 	}
-	curIDs := make(map[string]bool, len(current.Cells))
+	curRefs := make(map[CellRef]bool, len(current.Cells))
 	for _, r := range current.Cells {
-		curIDs[cellID(r)] = true
+		curRefs[RefOfRecord(r)] = true
 	}
-	matched := make(map[string]bool, len(current.Cells))
+	matched := make(map[CellRef]bool, len(current.Cells))
 	for _, cur := range current.Cells {
-		id := cellID(cur)
-		b, ok := baseByID[id]
+		ref := RefOfRecord(cur)
+		b, ok := baseByRef[ref]
 		if !measured(cur) {
 			if ok {
 				// The baseline measured this cell; the current run
 				// could not.
-				matched[id] = true
-				d.Broken = append(d.Broken, id)
+				matched[ref] = true
+				d.Broken = append(d.Broken, CellName(cur))
 			} else {
-				d.OnlyCurrent = append(d.OnlyCurrent, id)
+				d.OnlyCurrent = append(d.OnlyCurrent, CellName(cur))
 			}
 			continue
 		}
 		if !ok {
-			d.OnlyCurrent = append(d.OnlyCurrent, id)
+			d.OnlyCurrent = append(d.OnlyCurrent, CellName(cur))
 			continue
 		}
-		matched[id] = true
+		matched[ref] = true
 		j := judge(b, cur)
 		cd := CellDiff{
 			Benchmark:      cur.Benchmark,
@@ -231,6 +231,7 @@ func diffRuns(base, current RunRecord, judge func(base, cur report.Record) judgm
 			Arch:           cur.Arch,
 			Iters:          cur.Iters,
 			Repeats:        cur.Repeats,
+			Cores:          ref.Cores,
 			BaseSeconds:    b.KernelSeconds,
 			CurrentSeconds: cur.KernelSeconds,
 			Delta:          cur.KernelSeconds/b.KernelSeconds - 1,
@@ -246,17 +247,17 @@ func diffRuns(base, current RunRecord, judge func(base, cur report.Record) judgm
 			d.Stable++
 		}
 	}
-	for id := range baseByID {
-		if !matched[id] {
-			d.OnlyBase = append(d.OnlyBase, id)
+	for ref, r := range baseByRef {
+		if !matched[ref] {
+			d.OnlyBase = append(d.OnlyBase, CellName(r))
 		}
 	}
 	// An errored baseline cell is OnlyBase only when the current run
-	// has no cell with that id at all; if it does, the current-run
-	// side already reported it once (as a measurement or OnlyCurrent).
-	for _, id := range baseUnmeasured {
-		if !curIDs[id] {
-			d.OnlyBase = append(d.OnlyBase, id)
+	// has no such cell at all; if it does, the current-run side
+	// already reported it once (as a measurement or OnlyCurrent).
+	for _, r := range baseUnmeasured {
+		if !curRefs[RefOfRecord(r)] {
+			d.OnlyBase = append(d.OnlyBase, CellName(r))
 		}
 	}
 	sort.Slice(d.Regressions, func(i, j int) bool { return d.Regressions[i].Delta > d.Regressions[j].Delta })

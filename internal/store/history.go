@@ -141,6 +141,7 @@ func DecodeHistory(r io.Reader) (runs []RunRecord, skipped int, err error) {
 // off the stream, so one oversized run cannot poison the whole
 // history. err reports only real read failures.
 func decodeHistory(r io.Reader) (runs []RunRecord, skipped int, firstBad, err error) {
+	noteHistoryDecode()
 	br := bufio.NewReaderSize(r, 1<<20)
 	// pending carries the decoder's unconsumed look-ahead across a
 	// resync, so each rebuilt decoder layers exactly one bytes.Reader

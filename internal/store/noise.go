@@ -74,8 +74,14 @@ func (g StatGate) Pool(xs []float64) []float64 {
 
 // seedFor derives a per-cell bootstrap seed, so each cell is its own
 // deterministic stream: reordering the matrix or gating a subset never
-// moves another cell's band.
-func (g StatGate) seedFor(id string) int64 {
+// moves another cell's band. A single-core cell hashes the same bytes
+// it always has, so recorded bands keep their bits; a multi-core cell
+// appends its core count and gets a stream of its own.
+func (g StatGate) seedFor(c CellRef) int64 {
+	id := fmt.Sprintf("%s|%s|%s|%d|%d", c.Arch, c.Benchmark, c.Engine, c.Iters, c.Repeats)
+	if c.Cores > 1 {
+		id += fmt.Sprintf("|%dc", c.Cores)
+	}
 	h := fnv.New64a()
 	h.Write([]byte(id))
 	return g.Seed ^ int64(h.Sum64())
@@ -85,29 +91,28 @@ func (g StatGate) seedFor(id string) int64 {
 // the cell's own deterministic bootstrap stream. Unlike NoiseLookup it
 // answers for any history length — simbase show uses it to print the
 // model of a cell that is still too young to gate.
-func (g StatGate) Band(id string, xs []float64) *stats.Band {
+func (g StatGate) Band(c CellRef, xs []float64) *stats.Band {
 	g = g.fill()
 	b := stats.Summarize(xs, stats.Options{
 		Resamples: g.Resamples,
-		Seed:      g.seedFor(id),
+		Seed:      g.seedFor(c),
 		Widen:     g.Widen,
 	})
 	return &b
 }
 
-// CellID keys a record by everything that identifies a cell within a
-// run: display coordinates and scale. History aggregation, diffs and
-// noise bands all group by it — "did my simulator get slower" compares
-// like-named columns across time.
-func CellID(r report.Record) string { return cellID(r) }
-
 // CellName renders a record's cell the way diff output names cells:
 // arch/benchmark/engine@iters, with an xN suffix for multi-repeat
-// cells. simbase show matches its argument against this form.
+// cells and an @Nc suffix above one guest core. simbase show matches
+// its argument against this form.
 func CellName(r report.Record) string {
-	s := fmt.Sprintf("%s/%s/%s@%d", r.Arch, r.Benchmark, r.Engine, r.Iters)
-	if r.Repeats > 1 {
-		s += fmt.Sprintf("x%d", r.Repeats)
+	c := RefOfRecord(r)
+	s := fmt.Sprintf("%s/%s/%s@%d", c.Arch, c.Benchmark, c.Engine, c.Iters)
+	if c.Repeats > 1 {
+		s += fmt.Sprintf("x%d", c.Repeats)
+	}
+	if c.Cores > 1 {
+		s += fmt.Sprintf("@%dc", c.Cores)
 	}
 	return s
 }
@@ -122,13 +127,15 @@ func CellName(r report.Record) string {
 func FreshSample(r report.Record) bool { return measured(r) && !r.Cached }
 
 // Samples gathers each cell's fresh kernel-seconds history across
-// runs (see FreshSample), keyed by CellID, in run order.
-func Samples(runs []RunRecord) map[string][]float64 {
-	out := make(map[string][]float64)
+// runs (see FreshSample), keyed by RefOfRecord, in run order — so a
+// cores sweep keeps one pool per core count.
+func Samples(runs []RunRecord) map[CellRef][]float64 {
+	out := make(map[CellRef][]float64)
 	for _, rr := range runs {
 		for _, c := range rr.Cells {
 			if FreshSample(c) {
-				out[cellID(c)] = append(out[cellID(c)], c.KernelSeconds)
+				ref := RefOfRecord(c)
+				out[ref] = append(out[ref], c.KernelSeconds)
 			}
 		}
 	}
@@ -145,21 +152,21 @@ func Samples(runs []RunRecord) map[string][]float64 {
 // for concurrent use.
 func NoiseLookup(runs []RunRecord, g StatGate) func(report.Record) *stats.Band {
 	g = g.fill()
-	var samples map[string][]float64
-	memo := make(map[string]*stats.Band)
+	var samples map[CellRef][]float64
+	memo := make(map[CellRef]*stats.Band)
 	return func(r report.Record) *stats.Band {
 		if samples == nil {
 			samples = Samples(runs)
 		}
-		id := cellID(r)
-		if b, ok := memo[id]; ok {
+		ref := RefOfRecord(r)
+		if b, ok := memo[ref]; ok {
 			return b
 		}
 		var b *stats.Band
-		if xs := g.Pool(samples[id]); len(xs) >= g.MinHistory {
-			b = g.Band(id, xs)
+		if xs := g.Pool(samples[ref]); len(xs) >= g.MinHistory {
+			b = g.Band(ref, xs)
 		}
-		memo[id] = b
+		memo[ref] = b
 		return b
 	}
 }

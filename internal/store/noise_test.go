@@ -2,7 +2,6 @@ package store
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -64,7 +63,7 @@ func TestSamples(t *testing.T) {
 	}
 	for id, xs := range samples {
 		want := 6
-		if strings.Contains(id, "synthetic.0") {
+		if id.Benchmark == "synthetic.0" {
 			want = 5
 		}
 		if len(xs) != want {
@@ -325,7 +324,7 @@ func TestDiffRunsStatDriftDown(t *testing.T) {
 	// improved band — only the anchor keeps it from false-alarming.
 	samples := Samples(history)
 	for id, xs := range samples {
-		if strings.Contains(id, "synthetic.0") {
+		if id.Benchmark == "synthetic.0" {
 			if b := g.Band(id, xs); b.Verdict(0.100) != stats.Regressed {
 				t.Errorf("scenario too loose, band %+v does not exclude the baseline sample", b)
 			}
@@ -407,7 +406,72 @@ func TestCellNames(t *testing.T) {
 	if got := CellName(rec); got != "arm/mem.hot/interp@64x3" {
 		t.Errorf("CellName with repeats = %q", got)
 	}
-	if CellID(rec) == CellID(report.Record{Benchmark: "mem.hot", Engine: "interp", Arch: "arm", Iters: 64, Repeats: 1}) {
-		t.Error("CellID ignores repeats")
+	rec.Cores = 4
+	if got := CellName(rec); got != "arm/mem.hot/interp@64x3@4c" {
+		t.Errorf("CellName with cores = %q", got)
+	}
+	rec.Cores = 1
+	if got := CellName(rec); got != "arm/mem.hot/interp@64x3" {
+		t.Errorf("CellName names the single core: %q", got)
+	}
+}
+
+// coresRun is one run of a 1/2/4-core sweep of one benchmark: the
+// same coordinates at every core count, the kernel time halving per
+// doubling plus a per-run wobble.
+func coresRun(wobble float64) RunRecord {
+	rr := RunRecord{Label: "simbench", Host: hostID()}
+	for _, cores := range []int{1, 2, 4} {
+		rec := report.Record{Benchmark: "smp.pingpong", Engine: "interp", Arch: "arm", Iters: 64, Repeats: 1,
+			KernelSeconds: (0.1 + wobble) / float64(cores)}
+		if cores > 1 {
+			rec.Cores = cores
+		}
+		rr.Cells = append(rr.Cells, rec)
+	}
+	return rr
+}
+
+// TestDiffAndNoisePerCoreCount: the cores axis is part of a cell's
+// identity for diffs and noise bands alike. Diffing a sweep against
+// itself changes nothing, and each core count keeps its own pool and
+// its own bootstrap stream.
+func TestDiffAndNoisePerCoreCount(t *testing.T) {
+	var history []RunRecord
+	for _, w := range []float64{0, 0.004, -0.003, 0.002, -0.001, 0.003} {
+		history = append(history, coresRun(w))
+	}
+	run := coresRun(0.001)
+	for _, d := range []Diff{
+		DiffRuns(run, run, 0.10),
+		DiffRunsStat(run, run, history, StatGate{Seed: 1}),
+	} {
+		if d.Stable != 3 || d.Regressed() || len(d.Improvements) != 0 || len(d.OnlyBase) != 0 || len(d.OnlyCurrent) != 0 {
+			t.Errorf("%s diff of identical 1/2/4-core runs is not clean: %+v", d.Mode, d)
+		}
+	}
+
+	samples := Samples(history)
+	if len(samples) != 3 {
+		t.Fatalf("pools = %v, want one per core count", samples)
+	}
+	look := NoiseLookup(history, StatGate{})
+	seeds := map[int64]bool{}
+	for _, c := range run.Cells {
+		ref := RefOfRecord(c)
+		if xs := samples[ref]; len(xs) != len(history) {
+			t.Errorf("%s: %d samples, want %d", ref, len(xs), len(history))
+		}
+		b := look(c)
+		if b == nil || b.N != len(history) {
+			t.Fatalf("%s: band %+v", ref, b)
+		}
+		if want := 0.1 / float64(ref.Cores); b.Median < want*0.95 || b.Median > want*1.05 {
+			t.Errorf("%s: band median %v, want about %v (pooled across core counts?)", ref, b.Median, want)
+		}
+		seeds[StatGate{}.seedFor(ref)] = true
+	}
+	if len(seeds) != 3 {
+		t.Errorf("core counts share a bootstrap stream: %d distinct seeds", len(seeds))
 	}
 }

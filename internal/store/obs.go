@@ -34,6 +34,8 @@ var (
 		"remote tier round-trip latency by operation", obs.DefBuckets, "op")
 	mDegrades = obs.Default.Counter("simbench_store_degraded_total",
 		"times the remote tier was marked down and the store fell back to local tiers")
+	mHistoryDecodes = obs.Default.Counter("simbench_store_history_decodes_total",
+		"history streams parsed: a local history file, a remote /runs response, or a server index rebuild")
 )
 
 // nowMono and sinceSec are the store's only wall-clock reads; both feed
@@ -77,6 +79,8 @@ func noteLookup(origin Provenance, hit bool) {
 func notePromotion(dest Provenance) { mPromotions.With(string(dest)).Inc() }
 
 func noteCoalesced() { mCoalesced.Inc() }
+
+func noteHistoryDecode() { mHistoryDecodes.Inc() }
 
 func noteQueueDepth(delta float64) { mQueueDepth.Add(delta) }
 
