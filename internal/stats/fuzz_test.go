@@ -106,6 +106,12 @@ func TestBootstrapMatchesReference(t *testing.T) {
 	checkBootstrap(t, nil, Options{Resamples: 10, Confidence: 0.95})
 }
 
+// sink keeps benchmarked results alive.
+var sink float64
+
+// BenchmarkBootstrapCI times one band's bootstrap at the replay
+// workload's shape (five samples, 1000 resamples) and at the gate's
+// full default window, beside the sort-based reference.
 func BenchmarkBootstrapCI(b *testing.B) {
 	for _, n := range []int{5, 20} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -116,12 +122,14 @@ func BenchmarkBootstrapCI(b *testing.B) {
 		o := Options{Resamples: 1000, Seed: 1, Confidence: 0.95}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				bootstrapCI(xs, o)
+				lo, hi := bootstrapCI(xs, o)
+				sink += hi - lo
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/sort-reference", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sortBootstrapCI(xs, o)
+				lo, hi := sortBootstrapCI(xs, o)
+				sink += hi - lo
 			}
 		})
 	}

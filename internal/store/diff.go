@@ -62,9 +62,10 @@ type Diff struct {
 	Improvements []CellDiff
 	// Stable counts common cells within the threshold either way.
 	Stable int
-	// Broken names cells (by CellName) measured in the baseline but errored (or
-	// unmeasured) in the current run — going from working to broken
-	// must fail a regression gate, so they count towards Regressed.
+	// Broken names cells (by CellName) measured in the baseline but
+	// errored (or unmeasured) in the current run — going from working
+	// to broken must fail a regression gate, so they count towards
+	// Regressed.
 	Broken []string
 	// OnlyBase and OnlyCurrent name cells without a measured
 	// counterpart in the other run — absent from it, or (for
