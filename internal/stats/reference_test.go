@@ -25,16 +25,19 @@ func sortBootstrapCI(xs []float64, o Options) (lo, hi float64) {
 }
 
 // quantileSorted returns the q-quantile of an ascending slice by
-// linear interpolation between closest ranks.
+// linear interpolation between closest ranks. It rounds each product
+// explicitly, as quantile does, so the two agree on platforms that
+// would otherwise fuse the multiply-adds (on amd64 nothing fuses, and
+// this is the original code's arithmetic bit for bit).
 func quantileSorted(s []float64, q float64) float64 {
 	if len(s) == 0 {
 		return 0
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	i := int(math.Floor(pos))
 	if i >= len(s)-1 {
 		return s[len(s)-1]
 	}
 	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
+	return float64(s[i]*(1-frac)) + float64(s[i+1]*frac)
 }

@@ -169,7 +169,10 @@ func Summarize(xs []float64, o Options) Band {
 	if b.N == 0 {
 		return b
 	}
-	margin := o.Widen * MADScale * b.MAD
+	// The explicit conversions here and in quantile round each product
+	// before it is added, so no platform fuses a multiply-add and every
+	// host computes the same band bits.
+	margin := float64(o.Widen * MADScale * b.MAD)
 	b.Lo, b.Hi = b.Median-margin, b.Median+margin
 	if o.Resamples > 0 && b.N >= 2 {
 		lo, hi := bootstrapCI(xs, o)
@@ -300,11 +303,11 @@ func quantile(n int, q float64, at func(int) float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	i := int(math.Floor(pos))
 	if i >= n-1 {
 		return at(n - 1)
 	}
 	frac := pos - float64(i)
-	return at(i)*(1-frac) + at(i+1)*frac
+	return float64(at(i)*(1-frac)) + float64(at(i+1)*frac)
 }
