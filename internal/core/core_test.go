@@ -70,6 +70,20 @@ func TestRunnerProtocol(t *testing.T) {
 	}
 }
 
+// BenchmarkRunnerRun prices the harness around a near-empty kernel:
+// assembly, platform construction with its guest RAM, prefault, boot,
+// validation and release.
+func BenchmarkRunnerRun(b *testing.B) {
+	r := NewRunner(interp.New(), arch.ARM{})
+	bench := miniBench()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(bench, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestRunnerDefaultIters(t *testing.T) {
 	r := NewRunner(interp.New(), arch.ARM{})
 	res, err := r.Run(miniBench(), 0)

@@ -40,7 +40,8 @@ func NewRunner(eng engine.Engine, sup arch.Support) *Runner {
 
 // Run builds, boots and executes one benchmark for the given iteration
 // count (0 means the paper's default count — rarely what you want
-// interactively; see Scale in the suite helpers).
+// interactively; see Scale in the suite helpers). The platform's guest
+// RAM is freed when Run returns.
 func (r *Runner) Run(b *Benchmark, iters int64) (*Result, error) {
 	if iters <= 0 {
 		iters = b.PaperIters
@@ -67,6 +68,8 @@ func (r *Runner) Run(b *Benchmark, iters int64) (*Result, error) {
 		limit = DefaultInsnLimit
 	}
 	p := platform.NewSMP(r.Arch.Profile(), ram, cores)
+	defer p.Release()
+	prefault(p, env)
 	if err := p.LoadProgram(prog); err != nil {
 		return nil, fmt.Errorf("%s: load: %w", b.Name, err)
 	}
@@ -110,6 +113,16 @@ func (r *Runner) Run(b *Benchmark, iters int64) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// prefault backs every RAM page the guest can reach before it runs —
+// the identity region plus each requested mapping's physical range —
+// so first-touch page faults stay out of the timed kernel.
+func prefault(p *platform.Platform, env *Env) {
+	p.M.Bus.Prefault(0, IdentityLimit)
+	for _, m := range env.Mappings() {
+		p.M.Bus.Prefault(m.PA, m.Size)
+	}
 }
 
 // bootloader builds the initial page tables: an identity mapping for

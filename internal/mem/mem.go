@@ -31,13 +31,47 @@ type Region struct {
 // Bus is the guest physical address space: RAM at [0, len(RAM)) and any
 // number of non-overlapping device regions above it.
 type Bus struct {
+	// RAM is guest physical memory. On unix it is an anonymous mapping
+	// outside the Go heap, unmapped by Release or once the Bus is
+	// garbage collected, so the slice must never outlive its Bus:
+	// index it through the Bus (m.Bus.RAM[pa]) at every access, and
+	// never keep a copy or a subslice of it.
 	RAM     []byte
 	regions []Region
+	mapping *mapping // owns RAM when it is mapped; nil on the heap
 }
 
-// NewBus creates a bus with ramSize bytes of RAM at physical address 0.
+// NewBus creates a bus with ramSize bytes of zeroed RAM at physical
+// address 0. Where the host allows it, pages are backed only when first
+// touched; see Prefault.
 func NewBus(ramSize uint32) *Bus {
-	return &Bus{RAM: make([]byte, ramSize)}
+	ram, m := allocRAM(ramSize)
+	return &Bus{RAM: ram, mapping: m}
+}
+
+// Prefault makes the host back every RAM page in [pa, pa+size)
+// (clipped to RAM) now, so that no first-touch page fault lands inside
+// a timed guest kernel. It stores a zero into each page, so it belongs
+// before anything is loaded there.
+func (b *Bus) Prefault(pa, size uint32) {
+	end := uint64(pa) + uint64(size)
+	if end > uint64(len(b.RAM)) {
+		end = uint64(len(b.RAM))
+	}
+	for a := uint64(pa &^ isa.PageMask); a < end; a += isa.PageSize {
+		b.RAM[a] = 0
+	}
+}
+
+// Release frees RAM now instead of when the Bus is garbage collected.
+// RAM becomes nil, so a later access panics instead of touching freed
+// memory.
+func (b *Bus) Release() {
+	b.RAM = nil
+	if b.mapping != nil {
+		b.mapping.free()
+		b.mapping = nil
+	}
 }
 
 // Map attaches a device region. It panics on overlap with RAM or

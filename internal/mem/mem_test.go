@@ -188,3 +188,29 @@ func TestPhysRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestPrefaultKeepsRAMZeroAndClips(t *testing.T) {
+	b := NewBus(3*isa.PageSize + 100)
+	b.Prefault(isa.PageSize+7, 1<<30) // unaligned start, runs past the end
+	b.Prefault(1<<31, isa.PageSize)   // entirely outside RAM
+	for i, v := range b.RAM {
+		if v != 0 {
+			t.Fatalf("RAM[%#x] = %#x after Prefault", i, v)
+		}
+	}
+}
+
+func TestReleasedRAMPanics(t *testing.T) {
+	b := NewBus(isa.PageSize)
+	b.Release()
+	if b.RAM != nil {
+		t.Fatal("RAM still set after Release")
+	}
+	b.Release() // idempotent
+	defer func() {
+		if recover() == nil {
+			t.Error("access after Release did not panic")
+		}
+	}()
+	b.WriteWordRAM(0, 1)
+}

@@ -133,6 +133,10 @@ func (p *Platform) Reset() {
 	}
 }
 
+// Release frees the guest RAM now rather than when the platform is
+// garbage collected. The platform must not run afterwards.
+func (p *Platform) Release() { p.M.Bus.Release() }
+
 // Harts returns all cores, boot hart first — the slice engines run.
 func (p *Platform) Harts() []*machine.Machine { return p.Cores }
 
