@@ -17,12 +17,9 @@ import (
 type mapping struct{ b []byte }
 
 // allocRAM maps n zeroed bytes of guest RAM. If the kernel refuses the
-// mapping it falls back to the Go heap, which behaves the same but is
-// cleared eagerly.
+// mapping (or n is zero) it falls back to the Go heap, which behaves
+// the same but is cleared eagerly.
 func allocRAM(n uint32) ([]byte, *mapping) {
-	if n == 0 {
-		return nil, nil
-	}
 	b, err := syscall.Mmap(-1, 0, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		return make([]byte, n), nil
@@ -40,6 +37,8 @@ func (m *mapping) free() {
 
 func (m *mapping) unmap() {
 	if m.b != nil {
+		// Munmap of a range this handle mapped fails only on a bad
+		// range, which nothing here can produce or recover from.
 		_ = syscall.Munmap(m.b)
 		m.b = nil
 	}
