@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"simbench/internal/asm"
+	"simbench/internal/device"
 	"simbench/internal/engine"
 	"simbench/internal/engine/dbt"
 	"simbench/internal/engine/detailed"
@@ -122,20 +123,24 @@ func Diff(outcomes map[string]Outcome) string {
 const dataBase = 0x9000
 
 // RandomProgram generates a terminating random program exercising ALU
-// operations, flags, forward branches, calls and scratch-page memory
-// accesses. Control flow only moves forward, so termination is
-// structural.
+// operations, flags, forward branches, calls, word, byte and exclusive
+// accesses to the scratch page, UART stores (the device path) and
+// control-register reads. Control flow only moves forward, so
+// termination is structural.
 func RandomProgram(r *rand.Rand, n int) (*asm.Program, error) {
 	a := asm.New()
-	// Seed registers with random values; R12 is the data base, SP and
-	// LR are left for calls.
+	// Seed registers with random values; R11 is the UART base, R12 the
+	// data base, R15 the exclusive-pair address, and SP and LR are left
+	// for calls.
 	for reg := isa.R0; reg <= isa.R10; reg++ {
 		a.LoadImm32(reg, r.Uint32())
 	}
+	a.LoadImm32(isa.R11, platform.UARTBase+device.UARTTx)
 	a.LoadImm32(isa.R12, dataBase)
 
 	aluR := []func(rd, ra, rb isa.Reg){a.ADD, a.SUB, a.AND, a.OR, a.XOR, a.SHL, a.SHR, a.SRA, a.MUL}
-	aluI := []func(rd, ra isa.Reg, imm int32){a.ADDI, a.SUBI, a.ANDI, a.ORI, a.XORI, a.MULI}
+	aluI := []func(rd, ra isa.Reg, imm int32){a.ADDI, a.SUBI, a.ANDI, a.ORI, a.XORI, a.MULI,
+		a.SHLI, a.SHRI, a.SRAI}
 	conds := []isa.Cond{isa.CondEQ, isa.CondNE, isa.CondLT, isa.CondGE, isa.CondGT,
 		isa.CondLE, isa.CondLO, isa.CondHS, isa.CondHI, isa.CondLS, isa.CondMI,
 		isa.CondPL, isa.CondVS, isa.CondVC, isa.CondAL}
@@ -144,7 +149,7 @@ func RandomProgram(r *rand.Rand, n int) (*asm.Program, error) {
 
 	for i := 0; i < n; i++ {
 		a.Label(asm.Label(fmt.Sprintf("L%d", i)))
-		switch r.Intn(10) {
+		switch r.Intn(16) {
 		case 0, 1, 2:
 			aluR[r.Intn(len(aluR))](reg(), reg(), reg())
 		case 3, 4:
@@ -168,6 +173,33 @@ func RandomProgram(r *rand.Rand, n int) (*asm.Program, error) {
 				a.MOVI(reg(), int32(r.Intn(65536)))
 			} else {
 				a.MOVT(reg(), int32(r.Intn(65536)))
+			}
+		case 10:
+			if r.Intn(2) == 0 {
+				a.MOV(reg(), reg())
+			} else {
+				a.NOT(reg(), reg())
+			}
+		case 11:
+			a.LDB(reg(), isa.R12, int32(r.Intn(1024)))
+		case 12:
+			a.STB(reg(), isa.R12, int32(r.Intn(1024)))
+		case 13:
+			// An exclusive pair on one scratch word; a third of the
+			// time the STX stands alone and succeeds only if an earlier
+			// LDX's reservation on that word survived.
+			a.ADDI(isa.R15, isa.R12, int32(r.Intn(256))*4)
+			if r.Intn(3) != 0 {
+				a.LDX(reg(), isa.R15)
+			}
+			a.STX(reg(), reg(), isa.R15)
+		case 14:
+			a.STW(reg(), isa.R11, 0)
+		case 15:
+			if r.Intn(2) == 0 {
+				a.MRS(reg(), isa.CtrlPSR)
+			} else {
+				a.MRS(reg(), isa.CtrlCPUID)
 			}
 		}
 	}
