@@ -15,14 +15,14 @@ import (
 	"fmt"
 
 	"simbench/internal/engine"
+	"simbench/internal/engine/sem"
 	"simbench/internal/isa"
 	"simbench/internal/machine"
 )
 
 const (
-	jmpBits     = 12 // 4096-entry jump caches
-	jmpSize     = 1 << jmpBits
-	tickQuantum = 4096
+	jmpBits = 12 // 4096-entry jump caches
+	jmpSize = 1 << jmpBits
 )
 
 // Engine is the DBT engine. Create one with New.
@@ -327,25 +327,10 @@ func (e *Engine) noteStore(pa uint32) {
 // Run implements engine.Engine.
 func (e *Engine) Run(harts []*machine.Machine, limit uint64) (engine.Stats, error) {
 	e.reset(harts)
-	var total uint64
-	for {
-		running := false
-		for _, h := range e.harts {
-			if h.m.Halted {
-				continue
-			}
-			running = true
-			if err := e.runSlice(h, &total, limit); err != nil {
-				e.st.Instructions = total
-				return e.st, err
-			}
-		}
-		if !running {
-			break
-		}
-	}
-	e.st.Instructions = total
-	return e.st, nil
+	err := sem.Run(harts, &e.st, func(i int, total *uint64) error {
+		return e.runSlice(e.harts[i], total, limit)
+	})
+	return e.st, err
 }
 
 // runSlice executes roughly one scheduling quantum on h: whole blocks
@@ -363,7 +348,7 @@ func (e *Engine) runSlice(h *hart, total *uint64, limit uint64) error {
 		if *total >= limit {
 			return engine.ErrLimit
 		}
-		if m.TickFn != nil && h.insns-h.lastTick >= tickQuantum {
+		if m.TickFn != nil && h.insns-h.lastTick >= sem.TickQuantum {
 			m.TickFn(uint32(h.insns - h.lastTick))
 			h.lastTick = h.insns
 		}

@@ -11,29 +11,22 @@ package detailed
 
 import (
 	"simbench/internal/engine"
+	"simbench/internal/engine/sem"
 	"simbench/internal/isa"
 	"simbench/internal/machine"
-	"simbench/internal/mmu"
 )
 
 const (
-	tlbSets     = 16
-	tlbWays     = 4
-	tickQuantum = 4096
+	tlbSets = 16
+	tlbWays = 4
 )
 
 type tlbEntry struct {
 	tag   uint32 // vpage<<1 | valid
 	pbase uint32
-	flags uint8
+	flags uint8 // sem.Write | sem.User | sem.RAM
 	lru   uint64
 }
-
-const (
-	fWrite uint8 = 1 << 0
-	fUser  uint8 = 1 << 1
-	fRAM   uint8 = 1 << 2
-)
 
 // modelTLB is a set-associative TLB with true LRU replacement — a
 // hardware-like structure rather than a simulator page cache.
@@ -190,7 +183,7 @@ func latency(op isa.Op) uint64 {
 // the event-driven core that detailed simulators are built around and
 // the reason they are an order of magnitude slower than fast
 // interpreters, whatever the instruction does.
-func (e *Detailed) record(pc uint32, in isa.Inst, ea, res uint32) {
+func (e *Detailed) record(pc uint32, in *isa.Inst, ea, res uint32) {
 	lat := latency(in.Op)
 	// Schedule the stage events with their per-stage delays.
 	e.evq = e.evq[:0]
@@ -294,46 +287,30 @@ func (e *Detailed) attach(h *hart) {
 
 // translate resolves a data access through the modelled TLB, walking
 // the in-memory tables on a miss.
-func (e *Detailed) translate(va uint32, write, asUser bool) (pa uint32, isRAM bool, fault isa.FaultCode) {
+func (e *Detailed) translate(va uint32, write, asUser bool) (pa uint32, flags uint8, fault isa.FaultCode) {
 	m := e.m
 	if !m.MMUEnabled() {
-		return va, m.Bus.IsRAM(va, 1), isa.FaultNone
+		return va, sem.PhysFlags(m.Bus, va), isa.FaultNone
 	}
 	vpage := va >> isa.PageShift
 	dtlb := &e.h.dtlb
 	ent, hit := dtlb.lookup(vpage)
 	if !hit {
 		e.st.TLBMisses++
-		pte, levels, f := mmu.Walk(m.Bus, m.TTBR(), m.FormatB(), va)
-		e.st.PageWalks++
-		e.st.WalkLevels += uint64(levels)
+		pte, levels, f := sem.Walk(m, &e.st, va)
 		e.tick += uint64(levels) * 4 // walker events
 		if f != isa.FaultNone {
-			return 0, false, f
+			return 0, 0, f
 		}
-		ne := tlbEntry{pbase: pte.PhysPage}
-		if pte.Writable {
-			ne.flags |= fWrite
-		}
-		if pte.User {
-			ne.flags |= fUser
-		}
-		if m.Bus.IsRAM(pte.PhysPage, isa.PageSize) {
-			ne.flags |= fRAM
-		}
-		dtlb.fill(vpage, ne)
+		dtlb.fill(vpage, tlbEntry{pbase: pte.PhysPage, flags: sem.Flags(m.Bus, pte)})
 		ent, _ = dtlb.lookup(vpage)
 	} else {
 		e.st.TLBHits++
 	}
-	kernel := m.CPU.Kernel && !asUser
-	if !kernel && ent.flags&fUser == 0 {
-		return 0, false, isa.FaultPermission
+	if f := sem.Check(m, ent.flags, write, asUser); f != isa.FaultNone {
+		return 0, 0, f
 	}
-	if write && ent.flags&fWrite == 0 {
-		return 0, false, isa.FaultPermission
-	}
-	return ent.pbase | va&isa.PageMask, ent.flags&fRAM != 0, isa.FaultNone
+	return ent.pbase | va&isa.PageMask, ent.flags, isa.FaultNone
 }
 
 // fetch resolves the instruction address through the modelled ITLB.
@@ -349,27 +326,18 @@ func (e *Detailed) fetch(pc uint32) (pa uint32, fault isa.FaultCode) {
 	itlb := &e.h.itlb
 	ent, hit := itlb.lookup(vpage)
 	if !hit {
-		pte, levels, f := mmu.Walk(m.Bus, m.TTBR(), m.FormatB(), pc)
-		e.st.PageWalks++
-		e.st.WalkLevels += uint64(levels)
+		pte, levels, f := sem.Walk(m, &e.st, pc)
 		e.tick += uint64(levels) * 4
 		if f != isa.FaultNone {
 			return 0, f
 		}
-		ne := tlbEntry{pbase: pte.PhysPage}
-		if pte.User {
-			ne.flags |= fUser
-		}
-		if m.Bus.IsRAM(pte.PhysPage, isa.PageSize) {
-			ne.flags |= fRAM
-		}
-		itlb.fill(vpage, ne)
+		itlb.fill(vpage, tlbEntry{pbase: pte.PhysPage, flags: sem.Flags(m.Bus, pte)})
 		ent, _ = itlb.lookup(vpage)
 	}
-	if !m.CPU.Kernel && ent.flags&fUser == 0 {
-		return 0, isa.FaultPermission
+	if f := sem.Check(m, ent.flags, false, false); f != isa.FaultNone {
+		return 0, f
 	}
-	if ent.flags&fRAM == 0 {
+	if ent.flags&sem.RAM == 0 {
 		return 0, isa.FaultBus
 	}
 	return ent.pbase | pc&isa.PageMask, isa.FaultNone
@@ -378,25 +346,10 @@ func (e *Detailed) fetch(pc uint32) (pa uint32, fault isa.FaultCode) {
 // Run implements engine.Engine.
 func (e *Detailed) Run(harts []*machine.Machine, limit uint64) (engine.Stats, error) {
 	e.reset(harts)
-	var total uint64
-	for {
-		running := false
-		for _, h := range e.harts {
-			if h.m.Halted {
-				continue
-			}
-			running = true
-			if err := e.runSlice(h, &total, limit); err != nil {
-				e.st.Instructions = total
-				return e.st, err
-			}
-		}
-		if !running {
-			break
-		}
-	}
-	e.st.Instructions = total
-	return e.st, nil
+	err := sem.Run(harts, &e.st, func(i int, total *uint64) error {
+		return e.runSlice(e.harts[i], total, limit)
+	})
+	return e.st, err
 }
 
 // runSlice executes one scheduling quantum on h. The tick and limit
@@ -411,20 +364,17 @@ func (e *Detailed) runSlice(h *hart, total *uint64, limit uint64) error {
 		if *total >= limit {
 			return engine.ErrLimit
 		}
-		if m.TickFn != nil && h.insns%tickQuantum == 0 && h.insns != 0 {
-			m.TickFn(tickQuantum)
+		if m.TickFn != nil && h.insns%sem.TickQuantum == 0 && h.insns != 0 {
+			m.TickFn(sem.TickQuantum)
 		}
 		if m.IRQPending() {
-			m.Enter(isa.ExcIRQ, cpu.PC)
-			e.st.IRQsDelivered++
-			e.st.ExceptionsTaken++
+			sem.IRQ(m, &e.st)
 			continue
 		}
 		pc := cpu.PC
 		pa, fault := e.fetch(pc)
 		if fault != isa.FaultNone {
-			m.EnterMemFault(isa.ExcInstFault, fault, pc, false, pc)
-			e.st.ExceptionsTaken++
+			sem.FetchFault(m, &e.st, fault, pc)
 			continue
 		}
 		e.tick += e.mem.fetchAccess(pa)
@@ -432,351 +382,67 @@ func (e *Detailed) runSlice(h *hart, total *uint64, limit uint64) error {
 		in := isa.Decode(m.Bus.ReadWordRAM(pa))
 		h.insns++
 		*total++
-		e.step(in, pc)
+		e.step(&in, pc)
 	}
 	return nil
 }
 
-func (e *Detailed) undef(pc uint32) {
-	e.m.Enter(isa.ExcUndef, pc+4)
-	e.st.ExceptionsTaken++
-}
-
-// step executes one instruction with full detail accounting. The
-// architectural semantics are identical to the reference interpreter.
-func (e *Detailed) step(in isa.Inst, pc uint32) {
+// step executes one instruction with full detail accounting around the
+// shared semantics: the branch predictor on branches, the cache
+// hierarchy on data accesses, and the record hook for every
+// instruction that retires (an undefined or faulting one does not).
+func (e *Detailed) step(in *isa.Inst, pc uint32) {
 	m := e.m
-	cpu := &m.CPU
-	r := &cpu.Regs
-	next := pc + 4
-	var ea, res uint32
-	switch in.Op {
-	case isa.OpNOP:
-	case isa.OpADD:
-		res = r[in.Ra] + r[in.Rb]
-		r[in.Rd] = res
-	case isa.OpSUB:
-		res = r[in.Ra] - r[in.Rb]
-		r[in.Rd] = res
-	case isa.OpAND:
-		res = r[in.Ra] & r[in.Rb]
-		r[in.Rd] = res
-	case isa.OpOR:
-		res = r[in.Ra] | r[in.Rb]
-		r[in.Rd] = res
-	case isa.OpXOR:
-		res = r[in.Ra] ^ r[in.Rb]
-		r[in.Rd] = res
-	case isa.OpSHL:
-		res = r[in.Ra] << (r[in.Rb] & 31)
-		r[in.Rd] = res
-	case isa.OpSHR:
-		res = r[in.Ra] >> (r[in.Rb] & 31)
-		r[in.Rd] = res
-	case isa.OpSRA:
-		res = uint32(int32(r[in.Ra]) >> (r[in.Rb] & 31))
-		r[in.Rd] = res
-	case isa.OpMUL:
-		res = r[in.Ra] * r[in.Rb]
-		r[in.Rd] = res
-	case isa.OpCMP:
-		cpu.Flags = isa.Sub(r[in.Ra], r[in.Rb])
-	case isa.OpMOV:
-		res = r[in.Ra]
-		r[in.Rd] = res
-	case isa.OpNOT:
-		res = ^r[in.Ra]
-		r[in.Rd] = res
-	case isa.OpADDI:
-		res = r[in.Ra] + uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpSUBI:
-		res = r[in.Ra] - uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpANDI:
-		res = r[in.Ra] & uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpORI:
-		res = r[in.Ra] | uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpXORI:
-		res = r[in.Ra] ^ uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpSHLI:
-		res = r[in.Ra] << (uint32(in.Imm) & 31)
-		r[in.Rd] = res
-	case isa.OpSHRI:
-		res = r[in.Ra] >> (uint32(in.Imm) & 31)
-		r[in.Rd] = res
-	case isa.OpSRAI:
-		res = uint32(int32(r[in.Ra]) >> (uint32(in.Imm) & 31))
-		r[in.Rd] = res
-	case isa.OpMULI:
-		res = r[in.Ra] * uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpCMPI:
-		cpu.Flags = isa.Sub(r[in.Ra], uint32(in.Imm))
-	case isa.OpMOVI:
-		res = uint32(in.Imm)
-		r[in.Rd] = res
-	case isa.OpMOVT:
-		res = r[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-		r[in.Rd] = res
-	case isa.OpLDW:
-		e.load(in, pc, r[in.Ra]+uint32(in.Imm), 4, false)
-		return
-	case isa.OpSTW:
-		e.store(in, pc, r[in.Ra]+uint32(in.Imm), 4, false)
-		return
-	case isa.OpLDB:
-		e.load(in, pc, r[in.Ra]+uint32(in.Imm), 1, false)
-		return
-	case isa.OpSTB:
-		e.store(in, pc, r[in.Ra]+uint32(in.Imm), 1, false)
-		return
-	case isa.OpLDX:
-		e.loadExclusive(in, pc, r[in.Ra])
-		return
-	case isa.OpSTX:
-		e.storeExclusive(in, pc, r[in.Ra])
-		return
-	case isa.OpLDT:
-		if !m.NonPrivSupported() {
-			e.undef(pc)
-			return
-		}
-		e.st.NonPrivAccesses++
-		e.load(in, pc, r[in.Ra]+uint32(in.Imm), 4, true)
-		return
-	case isa.OpSTT:
-		if !m.NonPrivSupported() {
-			e.undef(pc)
-			return
-		}
-		e.st.NonPrivAccesses++
-		e.store(in, pc, r[in.Ra]+uint32(in.Imm), 4, true)
-		return
-	case isa.OpB:
-		taken := in.Cond.Eval(cpu.Flags)
+	v, k := sem.Exec(m, &e.st, in, pc)
+	switch k {
+	case sem.Retired:
+		e.record(pc, in, 0, v)
+	case sem.Taken, sem.NotTaken:
+		taken := k == sem.Taken
 		if taken {
-			next = pc + 4 + uint32(in.Off)
 			e.branchTaken++
 		} else {
 			e.branchNotTaken++
 		}
-		e.tick += e.bp.predictAndTrain(pc, taken, next)
-	case isa.OpBL:
-		taken := in.Cond.Eval(cpu.Flags)
-		if taken {
-			r[isa.LR] = pc + 4
-			next = pc + 4 + uint32(in.Off)
-			e.branchTaken++
-		} else {
-			e.branchNotTaken++
-		}
-		e.tick += e.bp.predictAndTrain(pc, taken, next)
-	case isa.OpBR:
-		next = r[in.Ra] &^ 3
-		e.branchTaken++
-		e.tick += e.bp.predictAndTrain(pc, true, next)
-	case isa.OpBLR:
-		target := r[in.Ra] &^ 3
-		r[isa.LR] = pc + 4
-		next = target
-		e.branchTaken++
-		e.tick += e.bp.predictAndTrain(pc, true, next)
-	case isa.OpSVC:
+		e.tick += e.bp.predictAndTrain(pc, taken, m.CPU.PC)
 		e.record(pc, in, 0, 0)
-		m.Enter(isa.ExcSyscall, pc+4)
-		e.st.ExceptionsTaken++
-		return
-	case isa.OpERET:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
+	case sem.LoadOp:
+		pa, flags, fault := e.translate(v, false, in.Op == isa.OpLDT)
+		if fault == isa.FaultNone {
+			e.tick += e.mem.dataAccess(pa, false)
 		}
-		e.record(pc, in, 0, 0)
-		m.ERET()
-		return
-	case isa.OpMRS:
-		v, ok := m.ReadCtrl(isa.CtrlReg(in.Imm))
-		if !ok {
-			e.undef(pc)
-			return
+		if res, out := sem.Load(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
+			e.record(pc, in, v, res)
 		}
-		res = v
-		r[in.Rd] = v
-	case isa.OpMSR:
-		if !m.WriteCtrl(isa.CtrlReg(in.Imm), r[in.Rd]) {
-			e.undef(pc)
-			return
+	case sem.StoreOp:
+		pa, flags, fault := e.translate(v, true, in.Op == isa.OpSTT)
+		if fault == isa.FaultNone {
+			e.tick += e.mem.dataAccess(pa, true)
 		}
-	case isa.OpCPRD:
-		v, ok := m.CoprocRead(uint32(in.Imm)>>8, uint32(in.Imm)&0xFF)
-		if !ok {
-			e.undef(pc)
-			return
+		if res, out := sem.Store(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
+			e.record(pc, in, v, res)
 		}
-		e.st.CoprocAccesses++
-		res = v
-		r[in.Rd] = v
-	case isa.OpCPWR:
-		if !m.CoprocWrite(uint32(in.Imm)>>8, uint32(in.Imm)&0xFF, r[in.Rd]) {
-			e.undef(pc)
-			return
+	case sem.LoadExOp:
+		// Exclusives reach the cache hierarchy only once the RAM-only
+		// check has passed.
+		pa, flags, fault := e.translate(v, false, false)
+		if res, out := sem.LoadEx(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
+			e.tick += e.mem.dataAccess(pa, false)
+			e.record(pc, in, v, res)
 		}
-		e.st.CoprocAccesses++
-	case isa.OpTLBI:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
+	case sem.StoreExOp:
+		pa, flags, fault := e.translate(v, true, false)
+		if res, out := sem.StoreEx(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
+			e.tick += e.mem.dataAccess(pa, true)
+			e.record(pc, in, v, res)
 		}
-		e.st.TLBInvalidates++
-		m.ShootdownPage(r[in.Ra])
-	case isa.OpTLBIA:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
-		}
-		e.st.TLBFlushes++
-		m.ShootdownAll()
-	case isa.OpHALT:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
-		}
-		e.record(pc, in, 0, 0)
-		m.Halted = true
-		return
-	default:
-		e.undef(pc)
-		return
-	}
-	e.record(pc, in, ea, res)
-	cpu.PC = next
-}
-
-func (e *Detailed) load(in isa.Inst, pc, va uint32, size int, asUser bool) {
-	m := e.m
-	if size == 4 {
-		va &^= 3
-	}
-	e.st.MemReads++
-	pa, isRAM, fault := e.translate(va, false, asUser)
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, false, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	e.tick += e.mem.dataAccess(pa, false)
-	var v uint32
-	if isRAM {
-		if size == 4 {
-			v = m.Bus.ReadWordRAM(pa)
+	case sem.CoprocOp:
+		if res, ok := sem.Coproc(m, &e.st, in, pc); ok {
+			e.record(pc, in, 0, res)
 		} else {
-			v = uint32(m.Bus.RAM[pa])
+			sem.Undefined(m, &e.st, pc)
 		}
-	} else {
-		e.st.DeviceAccesses++
-		var f isa.FaultCode
-		v, f = m.Bus.ReadPhys(pa, size)
-		if f != isa.FaultNone {
-			m.EnterMemFault(isa.ExcDataFault, f, va, false, pc)
-			e.st.ExceptionsTaken++
-			return
-		}
+	case sem.Undef:
+		sem.Undefined(m, &e.st, pc)
 	}
-	m.CPU.Regs[in.Rd] = v
-	e.record(pc, in, va, v)
-	m.CPU.PC = pc + 4
-}
-
-// loadExclusive implements LDX: a word load that arms this hart's
-// reservation on the line. Exclusives are RAM-only.
-func (e *Detailed) loadExclusive(in isa.Inst, pc, va uint32) {
-	m := e.m
-	va &^= 3
-	e.st.MemReads++
-	e.st.ExclusiveOps++
-	pa, isRAM, fault := e.translate(va, false, false)
-	if fault == isa.FaultNone && !isRAM {
-		fault = isa.FaultBus
-	}
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, false, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	e.tick += e.mem.dataAccess(pa, false)
-	m.Mon.Arm(m.HartID, pa)
-	v := m.Bus.ReadWordRAM(pa)
-	m.CPU.Regs[in.Rd] = v
-	e.record(pc, in, va, v)
-	m.CPU.PC = pc + 4
-}
-
-// storeExclusive implements STX: the store succeeds (rd=0) only if the
-// hart's reservation survived; otherwise rd=1 and memory is untouched.
-func (e *Detailed) storeExclusive(in isa.Inst, pc, va uint32) {
-	m := e.m
-	va &^= 3
-	e.st.ExclusiveOps++
-	pa, isRAM, fault := e.translate(va, true, false)
-	if fault == isa.FaultNone && !isRAM {
-		fault = isa.FaultBus
-	}
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, true, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	e.tick += e.mem.dataAccess(pa, true)
-	if m.Mon.Exclusive(m.HartID, pa) {
-		e.st.MemWrites++
-		v := m.CPU.Regs[in.Rb]
-		m.Bus.WriteWordRAM(pa, v)
-		m.Mon.NoteStore(pa)
-		e.record(pc, in, va, v)
-		m.CPU.Regs[in.Rd] = 0
-	} else {
-		e.st.ExclusiveFails++
-		e.record(pc, in, va, 1)
-		m.CPU.Regs[in.Rd] = 1
-	}
-	m.CPU.PC = pc + 4
-}
-
-func (e *Detailed) store(in isa.Inst, pc, va uint32, size int, asUser bool) {
-	m := e.m
-	if size == 4 {
-		va &^= 3
-	}
-	e.st.MemWrites++
-	pa, isRAM, fault := e.translate(va, true, asUser)
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, true, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	e.tick += e.mem.dataAccess(pa, true)
-	v := m.CPU.Regs[in.Rd]
-	if isRAM {
-		if size == 4 {
-			m.Bus.WriteWordRAM(pa, v)
-		} else {
-			m.Bus.RAM[pa] = byte(v)
-		}
-		if m.Mon.Armed() {
-			m.Mon.NoteStore(pa)
-		}
-	} else {
-		e.st.DeviceAccesses++
-		if f := m.Bus.WritePhys(pa, size, v); f != isa.FaultNone {
-			m.EnterMemFault(isa.ExcDataFault, f, va, true, pc)
-			e.st.ExceptionsTaken++
-			return
-		}
-	}
-	e.record(pc, in, va, v)
-	m.CPU.PC = pc + 4
 }

@@ -19,9 +19,9 @@ package direct
 
 import (
 	"simbench/internal/engine"
+	"simbench/internal/engine/sem"
 	"simbench/internal/isa"
 	"simbench/internal/machine"
-	"simbench/internal/mmu"
 )
 
 // Mode selects native-hardware or virtualized behaviour.
@@ -41,25 +41,13 @@ func (m Mode) String() string {
 }
 
 const (
-	vaPages      = 1 << 20 // flat table covers the whole 4 GiB VA space
-	insnsPerPage = isa.PageSize / isa.WordBytes
-	hwTLBSize    = 512 // modelled hardware TLB capacity (Cortex-A15 L2 TLB scale)
+	vaPages   = 1 << 20 // flat table covers the whole 4 GiB VA space
+	hwTLBSize = 512     // modelled hardware TLB capacity (Cortex-A15 L2 TLB scale)
 
-	// Flat-table entry flag bits (entries hold a page-aligned physical
-	// base, leaving the low bits free).
-	fWrite   uint32 = 1 << 0
-	fUser    uint32 = 1 << 1
-	fRAM     uint32 = 1 << 2
-	flagMask        = fWrite | fUser | fRAM
-
-	tickQuantum = 4096
+	// Flat-table entries hold a page-aligned physical base with the
+	// sem permission flags in the free low bits.
+	flagMask = uint32(sem.Write | sem.User | sem.RAM)
 )
-
-type decodedPage struct {
-	insts [insnsPerPage]isa.Inst
-	stamp [insnsPerPage]uint32
-	gen   uint32
-}
 
 // hart is the per-core slice of engine state: each simulated core has
 // its own hardware TLB, decode cache and fetch fast path, mirroring
@@ -79,15 +67,13 @@ type hart struct {
 	ring     [hwTLBSize]uint32
 	ringNext int
 
-	dpages    map[uint32]*decodedPage
-	codePages []bool
+	code sem.DecodeCache
 
 	// One-entry fetch fast path: hardware fetches from the current
 	// page without any software structure in the way, so the common
 	// case must be a single compare.
 	lastFetchVP uint32 // vpage+1 of the last fetch (0 = invalid)
-	lastFetchPA uint32 // its physical page base
-	lastDP      *decodedPage
+	lastDP      *sem.DecodedPage
 	lastKernel  bool // privilege level the fast path was validated for
 
 	insns uint64 // retired instructions on this hart
@@ -178,8 +164,7 @@ func (e *Direct) reset(harts []*machine.Machine) {
 		// The epoch starts above zero so no stale entry from the
 		// zero-valued table can appear valid.
 		h.InvalidateAll()
-		h.dpages = make(map[uint32]*decodedPage)
-		h.codePages = make([]bool, (len(m.Bus.RAM)+isa.PageSize-1)/isa.PageSize)
+		h.code = sem.NewDecodeCache(m.Bus)
 		m.ClearTLBListeners()
 		m.AddTLBListener(h)
 		e.harts = append(e.harts, h)
@@ -234,35 +219,19 @@ func (e *Direct) vmExit(reason uint32) {
 }
 
 // translate resolves a data access through the flat hardware table.
-func (e *Direct) translate(va uint32, write, asUser bool) (pa uint32, flags uint32, fault isa.FaultCode) {
+func (e *Direct) translate(va uint32, write, asUser bool) (pa uint32, flags uint8, fault isa.FaultCode) {
 	m := e.m
 	h := e.h
 	if !m.MMUEnabled() {
-		flags = fWrite | fUser
-		if m.Bus.IsRAM(va, 1) {
-			flags |= fRAM
-		}
-		return va, flags, isa.FaultNone
+		return va, sem.PhysFlags(m.Bus, va), isa.FaultNone
 	}
 	vp := va >> isa.PageShift
 	if h.ep[vp] != h.epoch {
-		pte, levels, f := mmu.Walk(m.Bus, m.TTBR(), m.FormatB(), va)
-		e.st.PageWalks++
-		e.st.WalkLevels += uint64(levels)
+		pte, _, f := sem.Walk(m, &e.st, va)
 		if f != isa.FaultNone {
 			return 0, 0, f
 		}
-		ent := pte.PhysPage
-		if pte.Writable {
-			ent |= fWrite
-		}
-		if pte.User {
-			ent |= fUser
-		}
-		if m.Bus.IsRAM(pte.PhysPage, isa.PageSize) {
-			ent |= fRAM
-		}
-		h.off[vp] = ent
+		h.off[vp] = pte.PhysPage | uint32(sem.Flags(m.Bus, pte))
 		h.ep[vp] = h.epoch
 		// Evict the oldest live entry once the hardware TLB is full.
 		// Ring slots hold vpage+1 so zero means empty.
@@ -276,14 +245,11 @@ func (e *Direct) translate(va uint32, write, asUser bool) (pa uint32, flags uint
 		e.st.TLBHits++
 	}
 	ent := h.off[vp]
-	kernel := m.CPU.Kernel && !asUser
-	if !kernel && ent&fUser == 0 {
-		return 0, 0, isa.FaultPermission
+	flags = uint8(ent & flagMask)
+	if f := sem.Check(m, flags, write, asUser); f != isa.FaultNone {
+		return 0, 0, f
 	}
-	if write && ent&fWrite == 0 {
-		return 0, 0, isa.FaultPermission
-	}
-	return ent&^flagMask | va&isa.PageMask, ent & flagMask, isa.FaultNone
+	return ent&^flagMask | va&isa.PageMask, flags, isa.FaultNone
 }
 
 func (e *Direct) fetch(pc uint32) (pa uint32, fault isa.FaultCode) {
@@ -298,76 +264,27 @@ func (e *Direct) fetch(pc uint32) (pa uint32, fault isa.FaultCode) {
 	if fault != isa.FaultNone {
 		return 0, fault
 	}
-	if flags&fRAM == 0 {
+	if flags&sem.RAM == 0 {
 		return 0, isa.FaultBus
 	}
 	return pa, isa.FaultNone
 }
 
-func (e *Direct) decode(pa uint32) isa.Inst {
-	h := e.h
-	page := pa >> isa.PageShift
-	dp := h.dpages[page]
-	if dp == nil {
-		dp = &decodedPage{gen: 1}
-		h.dpages[page] = dp
-		h.codePages[page] = true
-		e.st.PagesDecoded++
-	}
-	idx := (pa & isa.PageMask) >> 2
-	if dp.stamp[idx] != dp.gen {
-		dp.insts[idx] = isa.Decode(e.m.Bus.ReadWordRAM(pa))
-		dp.stamp[idx] = dp.gen
-	}
-	return dp.insts[idx]
-}
-
+// noteStore stales cached decodes of the stored page on every hart:
+// RAM is shared, so a store from any hart reaches every hart's code.
 func (e *Direct) noteStore(pa uint32) {
-	page := pa >> isa.PageShift
-	if len(e.harts) > 1 {
-		// RAM is shared: a store from any hart stales cached code on
-		// every hart that decoded that page.
-		for _, h := range e.harts {
-			if int(page) < len(h.codePages) && h.codePages[page] {
-				if dp := h.dpages[page]; dp != nil {
-					dp.gen++
-				}
-				e.st.SMCInvalidations++
-			}
-		}
-		return
-	}
-	h := e.h
-	if int(page) < len(h.codePages) && h.codePages[page] {
-		if dp := h.dpages[page]; dp != nil {
-			dp.gen++
-		}
-		e.st.SMCInvalidations++
+	for _, h := range e.harts {
+		h.code.NoteStore(pa, &e.st)
 	}
 }
 
 // Run implements engine.Engine.
 func (e *Direct) Run(harts []*machine.Machine, limit uint64) (engine.Stats, error) {
 	e.reset(harts)
-	var total uint64
-	for {
-		running := false
-		for _, h := range e.harts {
-			if h.m.Halted {
-				continue
-			}
-			running = true
-			if err := e.runSlice(h, &total, limit); err != nil {
-				e.st.Instructions = total
-				return e.st, err
-			}
-		}
-		if !running {
-			break
-		}
-	}
-	e.st.Instructions = total
-	return e.st, nil
+	err := sem.Run(harts, &e.st, func(i int, total *uint64) error {
+		return e.runSlice(e.harts[i], total, limit)
+	})
+	return e.st, err
 }
 
 // runSlice executes one scheduling quantum on h. The tick and limit
@@ -382,8 +299,8 @@ func (e *Direct) runSlice(h *hart, total *uint64, limit uint64) error {
 		if *total >= limit {
 			return engine.ErrLimit
 		}
-		if m.TickFn != nil && h.insns%tickQuantum == 0 && h.insns != 0 {
-			m.TickFn(tickQuantum)
+		if m.TickFn != nil && h.insns%sem.TickQuantum == 0 && h.insns != 0 {
+			m.TickFn(sem.TickQuantum)
 		}
 		if m.IRQPending() {
 			// Interrupt delivery: native hardware vectors directly;
@@ -391,36 +308,26 @@ func (e *Direct) runSlice(h *hart, total *uint64, limit uint64) error {
 			if e.mode == ModeVirt {
 				e.vmExit(5)
 			}
-			m.Enter(isa.ExcIRQ, cpu.PC)
-			e.st.IRQsDelivered++
-			e.st.ExceptionsTaken++
+			sem.IRQ(m, &e.st)
 			continue
 		}
 		pc := cpu.PC
-		var in isa.Inst
+		var in *isa.Inst
 		if pc>>isa.PageShift+1 == h.lastFetchVP && cpu.Kernel == h.lastKernel {
 			// Same-page fetch: the hardware fast path.
-			dp := h.lastDP
-			idx := (pc & isa.PageMask) >> 2
-			if dp.stamp[idx] != dp.gen {
-				dp.insts[idx] = isa.Decode(m.Bus.ReadWordRAM(h.lastFetchPA | pc&isa.PageMask))
-				dp.stamp[idx] = dp.gen
-			}
-			in = dp.insts[idx]
+			in = h.lastDP.Inst(sem.Word(pc))
 		} else {
 			pa, fault := e.fetch(pc)
 			if fault != isa.FaultNone {
 				// Guest-level fault: handled inside the guest in both
 				// modes (hardware nested paging keeps KVM out of it).
-				m.EnterMemFault(isa.ExcInstFault, fault, pc, false, pc)
-				e.st.ExceptionsTaken++
+				sem.FetchFault(m, &e.st, fault, pc)
 				continue
 			}
-			in = e.decode(pa)
+			h.lastDP = h.code.Page(pa, &e.st)
 			h.lastFetchVP = pc>>isa.PageShift + 1
-			h.lastFetchPA = pa &^ isa.PageMask
-			h.lastDP = h.dpages[pa>>isa.PageShift]
 			h.lastKernel = cpu.Kernel
+			in = h.lastDP.Inst(sem.Word(pa))
 		}
 		h.insns++
 		*total++
@@ -435,306 +342,48 @@ func (e *Direct) undef(pc uint32) {
 	if e.mode == ModeVirt && e.m.Profile == machine.ProfileX86 {
 		e.vmExit(2)
 	}
-	e.m.Enter(isa.ExcUndef, pc+4)
-	e.st.ExceptionsTaken++
+	sem.Undefined(e.m, &e.st, pc)
 }
 
-func (e *Direct) step(in isa.Inst, pc uint32) {
-	m := e.m
-	cpu := &m.CPU
-	r := &cpu.Regs
-	next := pc + 4
-	switch in.Op {
-	case isa.OpNOP:
-	case isa.OpADD:
-		r[in.Rd] = r[in.Ra] + r[in.Rb]
-	case isa.OpSUB:
-		r[in.Rd] = r[in.Ra] - r[in.Rb]
-	case isa.OpAND:
-		r[in.Rd] = r[in.Ra] & r[in.Rb]
-	case isa.OpOR:
-		r[in.Rd] = r[in.Ra] | r[in.Rb]
-	case isa.OpXOR:
-		r[in.Rd] = r[in.Ra] ^ r[in.Rb]
-	case isa.OpSHL:
-		r[in.Rd] = r[in.Ra] << (r[in.Rb] & 31)
-	case isa.OpSHR:
-		r[in.Rd] = r[in.Ra] >> (r[in.Rb] & 31)
-	case isa.OpSRA:
-		r[in.Rd] = uint32(int32(r[in.Ra]) >> (r[in.Rb] & 31))
-	case isa.OpMUL:
-		r[in.Rd] = r[in.Ra] * r[in.Rb]
-	case isa.OpCMP:
-		cpu.Flags = isa.Sub(r[in.Ra], r[in.Rb])
-	case isa.OpMOV:
-		r[in.Rd] = r[in.Ra]
-	case isa.OpNOT:
-		r[in.Rd] = ^r[in.Ra]
-	case isa.OpADDI:
-		r[in.Rd] = r[in.Ra] + uint32(in.Imm)
-	case isa.OpSUBI:
-		r[in.Rd] = r[in.Ra] - uint32(in.Imm)
-	case isa.OpANDI:
-		r[in.Rd] = r[in.Ra] & uint32(in.Imm)
-	case isa.OpORI:
-		r[in.Rd] = r[in.Ra] | uint32(in.Imm)
-	case isa.OpXORI:
-		r[in.Rd] = r[in.Ra] ^ uint32(in.Imm)
-	case isa.OpSHLI:
-		r[in.Rd] = r[in.Ra] << (uint32(in.Imm) & 31)
-	case isa.OpSHRI:
-		r[in.Rd] = r[in.Ra] >> (uint32(in.Imm) & 31)
-	case isa.OpSRAI:
-		r[in.Rd] = uint32(int32(r[in.Ra]) >> (uint32(in.Imm) & 31))
-	case isa.OpMULI:
-		r[in.Rd] = r[in.Ra] * uint32(in.Imm)
-	case isa.OpCMPI:
-		cpu.Flags = isa.Sub(r[in.Ra], uint32(in.Imm))
-	case isa.OpMOVI:
-		r[in.Rd] = uint32(in.Imm)
-	case isa.OpMOVT:
-		r[in.Rd] = r[in.Rd]&0xFFFF | uint32(in.Imm)<<16
-	case isa.OpLDW:
-		e.load(in, pc, r[in.Ra]+uint32(in.Imm), 4, false)
-		return
-	case isa.OpSTW:
-		e.store(in, pc, r[in.Ra]+uint32(in.Imm), 4, false)
-		return
-	case isa.OpLDB:
-		e.load(in, pc, r[in.Ra]+uint32(in.Imm), 1, false)
-		return
-	case isa.OpSTB:
-		e.store(in, pc, r[in.Ra]+uint32(in.Imm), 1, false)
-		return
-	case isa.OpLDX:
-		e.loadExclusive(in, pc, r[in.Ra])
-		return
-	case isa.OpSTX:
-		e.storeExclusive(in, pc, r[in.Ra])
-		return
-	case isa.OpLDT:
-		if !m.NonPrivSupported() {
-			e.undef(pc)
-			return
+// step executes one instruction: the shared semantics, with the VM
+// exits a hypervisor takes on coprocessor and device accesses.
+func (e *Direct) step(in *isa.Inst, pc uint32) {
+	switch va, k := sem.Exec(e.m, &e.st, in, pc); k {
+	case sem.LoadOp:
+		pa, flags, fault := e.translate(va, false, in.Op == isa.OpLDT)
+		e.deviceExit(flags, fault)
+		sem.Load(e.m, &e.st, in, pc, va, pa, flags, fault)
+	case sem.StoreOp:
+		pa, flags, fault := e.translate(va, true, in.Op == isa.OpSTT)
+		e.deviceExit(flags, fault)
+		if _, out := sem.Store(e.m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
+			e.noteStore(pa)
 		}
-		e.st.NonPrivAccesses++
-		e.load(in, pc, r[in.Ra]+uint32(in.Imm), 4, true)
-		return
-	case isa.OpSTT:
-		if !m.NonPrivSupported() {
-			e.undef(pc)
-			return
+	case sem.LoadExOp:
+		pa, flags, fault := e.translate(va, false, false)
+		sem.LoadEx(e.m, &e.st, in, pc, va, pa, flags, fault)
+	case sem.StoreExOp:
+		pa, flags, fault := e.translate(va, true, false)
+		if _, out := sem.StoreEx(e.m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
+			e.noteStore(pa)
 		}
-		e.st.NonPrivAccesses++
-		e.store(in, pc, r[in.Ra]+uint32(in.Imm), 4, true)
-		return
-	case isa.OpB:
-		if in.Cond.Eval(cpu.Flags) {
-			next = pc + 4 + uint32(in.Off)
-		}
-	case isa.OpBL:
-		if in.Cond.Eval(cpu.Flags) {
-			r[isa.LR] = pc + 4
-			next = pc + 4 + uint32(in.Off)
-		}
-	case isa.OpBR:
-		next = r[in.Ra] &^ 3
-	case isa.OpBLR:
-		target := r[in.Ra] &^ 3
-		r[isa.LR] = pc + 4
-		next = target
-	case isa.OpSVC:
-		m.Enter(isa.ExcSyscall, pc+4)
-		e.st.ExceptionsTaken++
-		return
-	case isa.OpERET:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
-		}
-		m.ERET()
-		return
-	case isa.OpMRS:
-		v, ok := m.ReadCtrl(isa.CtrlReg(in.Imm))
-		if !ok {
-			e.undef(pc)
-			return
-		}
-		r[in.Rd] = v
-	case isa.OpMSR:
-		if !m.WriteCtrl(isa.CtrlReg(in.Imm), r[in.Rd]) {
-			e.undef(pc)
-			return
-		}
-	case isa.OpCPRD:
+	case sem.CoprocOp:
 		// Coprocessor access: direct on hardware, trapped under KVM.
 		if e.mode == ModeVirt {
 			e.vmExit(3)
 		}
-		v, ok := m.CoprocRead(uint32(in.Imm)>>8, uint32(in.Imm)&0xFF)
-		if !ok {
+		if _, ok := sem.Coproc(e.m, &e.st, in, pc); !ok {
 			e.undef(pc)
-			return
 		}
-		e.st.CoprocAccesses++
-		r[in.Rd] = v
-	case isa.OpCPWR:
-		if e.mode == ModeVirt {
-			e.vmExit(3)
-		}
-		if !m.CoprocWrite(uint32(in.Imm)>>8, uint32(in.Imm)&0xFF, r[in.Rd]) {
-			e.undef(pc)
-			return
-		}
-		e.st.CoprocAccesses++
-	case isa.OpTLBI:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
-		}
-		e.st.TLBInvalidates++
-		m.ShootdownPage(r[in.Ra])
-	case isa.OpTLBIA:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
-		}
-		e.st.TLBFlushes++
-		m.ShootdownAll()
-	case isa.OpHALT:
-		if !cpu.Kernel {
-			e.undef(pc)
-			return
-		}
-		m.Halted = true
-		return
-	default:
+	case sem.Undef:
 		e.undef(pc)
-		return
 	}
-	cpu.PC = next
 }
 
-func (e *Direct) load(in isa.Inst, pc, va uint32, size int, asUser bool) {
-	m := e.m
-	if size == 4 {
-		va &^= 3
+// deviceExit models the cost of a device access, free on hardware and
+// a trap-and-emulate round trip under virtualization.
+func (e *Direct) deviceExit(flags uint8, fault isa.FaultCode) {
+	if e.mode == ModeVirt && fault == isa.FaultNone && flags&sem.RAM == 0 {
+		e.vmExit(4)
 	}
-	e.st.MemReads++
-	pa, flags, fault := e.translate(va, false, asUser)
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, false, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	var v uint32
-	if flags&fRAM != 0 {
-		if size == 4 {
-			v = m.Bus.ReadWordRAM(pa)
-		} else {
-			v = uint32(m.Bus.RAM[pa])
-		}
-	} else {
-		// Device access: free on hardware, a trap-and-emulate round
-		// trip under virtualization.
-		if e.mode == ModeVirt {
-			e.vmExit(4)
-		}
-		e.st.DeviceAccesses++
-		var f isa.FaultCode
-		v, f = m.Bus.ReadPhys(pa, size)
-		if f != isa.FaultNone {
-			m.EnterMemFault(isa.ExcDataFault, f, va, false, pc)
-			e.st.ExceptionsTaken++
-			return
-		}
-	}
-	m.CPU.Regs[in.Rd] = v
-	m.CPU.PC = pc + 4
-}
-
-func (e *Direct) store(in isa.Inst, pc, va uint32, size int, asUser bool) {
-	m := e.m
-	if size == 4 {
-		va &^= 3
-	}
-	e.st.MemWrites++
-	pa, flags, fault := e.translate(va, true, asUser)
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, true, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	v := m.CPU.Regs[in.Rd]
-	if flags&fRAM != 0 {
-		if size == 4 {
-			m.Bus.WriteWordRAM(pa, v)
-		} else {
-			m.Bus.RAM[pa] = byte(v)
-		}
-		if m.Mon.Armed() {
-			m.Mon.NoteStore(pa)
-		}
-		e.noteStore(pa)
-	} else {
-		if e.mode == ModeVirt {
-			e.vmExit(4)
-		}
-		e.st.DeviceAccesses++
-		if f := m.Bus.WritePhys(pa, size, v); f != isa.FaultNone {
-			m.EnterMemFault(isa.ExcDataFault, f, va, true, pc)
-			e.st.ExceptionsTaken++
-			return
-		}
-	}
-	m.CPU.PC = pc + 4
-}
-
-// loadExclusive implements LDX: a word load that arms this hart's
-// reservation on the line. Exclusives are RAM-only.
-func (e *Direct) loadExclusive(in isa.Inst, pc, va uint32) {
-	m := e.m
-	va &^= 3
-	e.st.MemReads++
-	e.st.ExclusiveOps++
-	pa, flags, fault := e.translate(va, false, false)
-	if fault == isa.FaultNone && flags&fRAM == 0 {
-		fault = isa.FaultBus
-	}
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, false, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	m.Mon.Arm(m.HartID, pa)
-	m.CPU.Regs[in.Rd] = m.Bus.ReadWordRAM(pa)
-	m.CPU.PC = pc + 4
-}
-
-// storeExclusive implements STX: the store succeeds (rd=0) only if the
-// hart's reservation survived; otherwise rd=1 and memory is untouched.
-func (e *Direct) storeExclusive(in isa.Inst, pc, va uint32) {
-	m := e.m
-	va &^= 3
-	e.st.ExclusiveOps++
-	pa, flags, fault := e.translate(va, true, false)
-	if fault == isa.FaultNone && flags&fRAM == 0 {
-		fault = isa.FaultBus
-	}
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, true, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	if m.Mon.Exclusive(m.HartID, pa) {
-		e.st.MemWrites++
-		m.Bus.WriteWordRAM(pa, m.CPU.Regs[in.Rb])
-		m.Mon.NoteStore(pa)
-		e.noteStore(pa)
-		m.CPU.Regs[in.Rd] = 0
-	} else {
-		e.st.ExclusiveFails++
-		m.CPU.Regs[in.Rd] = 1
-	}
-	m.CPU.PC = pc + 4
 }

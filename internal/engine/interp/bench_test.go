@@ -49,8 +49,8 @@ func benchRun(b *testing.B, prog *asm.Program) {
 }
 
 // BenchmarkDispatch measures the per-instruction decode + dispatch
-// loop on a hot ALU kernel — the cost the threaded dispatch table
-// attacks.
+// loop on a hot ALU kernel: the fetch fast path and sem.Exec's opcode
+// switch.
 func BenchmarkDispatch(b *testing.B) {
 	benchRun(b, benchAssemble(b, func(a *asm.Assembler) {
 		a.LoadImm32(isa.R1, 50_000)

@@ -7,15 +7,15 @@
 // behaviour that makes SimIt-ARM beat QEMU on the Code Generation
 // benchmarks.
 //
-// This engine is also the reference semantics for SV32: the other
-// engines are differentially tested against it.
+// Its instruction semantics are the shared ones of package sem; it is
+// the oracle the other engines are differentially tested against.
 package interp
 
 import (
 	"simbench/internal/engine"
+	"simbench/internal/engine/sem"
 	"simbench/internal/isa"
 	"simbench/internal/machine"
-	"simbench/internal/mmu"
 )
 
 const (
@@ -23,32 +23,13 @@ const (
 	dcacheSize = 1 << dcacheBits
 	fcacheBits = 6 // fetch page cache: 64 entries
 	fcacheSize = 1 << fcacheBits
-
-	insnsPerPage = isa.PageSize / isa.WordBytes
-	tickQuantum  = 4096
 )
 
 // tlbEntry is one slot of the single-level page caches.
 type tlbEntry struct {
 	tag   uint32 // vpage | 1 (bit0 = valid; vpage low bit is always 0 after <<12 split)
 	pbase uint32 // physical page base
-	flags uint8  // permWrite | permUser | isRAM
-}
-
-const (
-	fWrite uint8 = 1 << 0
-	fUser  uint8 = 1 << 1
-	fRAM   uint8 = 1 << 2
-)
-
-// decodedPage caches lazily decoded instructions for one physical
-// page. Invalidation is O(1): bumping gen makes every stamp stale, and
-// instructions are re-decoded on demand — which is why self-modifying
-// code is nearly free on a fast interpreter, unlike on a DBT.
-type decodedPage struct {
-	insts [insnsPerPage]isa.Inst
-	stamp [insnsPerPage]uint32
-	gen   uint32
+	flags uint8  // sem.Write | sem.User | sem.RAM
 }
 
 // hart is the per-core interpreter state: the machine it drives plus
@@ -56,12 +37,11 @@ type decodedPage struct {
 // core. It registers itself as that core's TLB listener, so cross-core
 // shootdowns invalidate exactly the caches of the harts they target.
 type hart struct {
-	m         *machine.Machine
-	dc        [dcacheSize]tlbEntry
-	fc        [fcacheSize]tlbEntry
-	dpages    map[uint32]*decodedPage // phys page index -> decoded
-	codePages []bool                  // phys page index -> has cached decodes
-	insns     uint64                  // retired on this hart
+	m     *machine.Machine
+	dc    [dcacheSize]tlbEntry
+	fc    [fcacheSize]tlbEntry
+	code  sem.DecodeCache
+	insns uint64 // retired on this hart
 
 	// fetchEpoch advances on every TLB invalidation that reaches this
 	// hart. runSlice keeps a one-entry fetch-translation micro-cache in
@@ -161,11 +141,7 @@ func (e *Interp) reset(harts []*machine.Machine) {
 	e.st = engine.Stats{}
 	e.harts = make([]*hart, len(harts))
 	for i, m := range harts {
-		h := &hart{
-			m:         m,
-			dpages:    make(map[uint32]*decodedPage),
-			codePages: make([]bool, (len(m.Bus.RAM)+isa.PageSize-1)/isa.PageSize),
-		}
+		h := &hart{m: m, code: sem.NewDecodeCache(m.Bus)}
 		m.ClearTLBListeners()
 		m.AddTLBListener(h)
 		e.harts[i] = h
@@ -181,44 +157,27 @@ func (e *Interp) attach(h *hart) {
 
 // translate resolves va for a data access. asUser forces user-mode
 // permission checks (LDT/STT). It fills the single-level cache.
-func (e *Interp) translate(va uint32, write, asUser bool) (pa uint32, isRAM bool, fault isa.FaultCode) {
+func (e *Interp) translate(va uint32, write, asUser bool) (pa uint32, flags uint8, fault isa.FaultCode) {
 	m := e.m
 	if !m.MMUEnabled() {
-		return va, m.Bus.IsRAM(va, 1), isa.FaultNone
+		return va, sem.PhysFlags(m.Bus, va), isa.FaultNone
 	}
 	vp := va >> isa.PageShift
 	ent := &e.h.dc[vp&(dcacheSize-1)]
 	if ent.tag != vp<<1|1 {
 		e.st.TLBMisses++
-		pte, levels, f := mmu.Walk(m.Bus, m.TTBR(), m.FormatB(), va)
-		e.st.PageWalks++
-		e.st.WalkLevels += uint64(levels)
+		pte, _, f := sem.Walk(m, &e.st, va)
 		if f != isa.FaultNone {
-			return 0, false, f
+			return 0, 0, f
 		}
-		ent.tag = vp<<1 | 1
-		ent.pbase = pte.PhysPage
-		ent.flags = 0
-		if pte.Writable {
-			ent.flags |= fWrite
-		}
-		if pte.User {
-			ent.flags |= fUser
-		}
-		if m.Bus.IsRAM(pte.PhysPage, isa.PageSize) {
-			ent.flags |= fRAM
-		}
+		*ent = tlbEntry{tag: vp<<1 | 1, pbase: pte.PhysPage, flags: sem.Flags(m.Bus, pte)}
 	} else {
 		e.st.TLBHits++
 	}
-	kernel := m.CPU.Kernel && !asUser
-	if !kernel && ent.flags&fUser == 0 {
-		return 0, false, isa.FaultPermission
+	if f := sem.Check(m, ent.flags, write, asUser); f != isa.FaultNone {
+		return 0, 0, f
 	}
-	if write && ent.flags&fWrite == 0 {
-		return 0, false, isa.FaultPermission
-	}
-	return ent.pbase | va&isa.PageMask, ent.flags&fRAM != 0, isa.FaultNone
+	return ent.pbase | va&isa.PageMask, ent.flags, isa.FaultNone
 }
 
 // fetchPage resolves the physical page for an instruction fetch.
@@ -233,69 +192,27 @@ func (e *Interp) fetchPage(pc uint32) (pbase uint32, fault isa.FaultCode) {
 	vp := pc >> isa.PageShift
 	ent := &e.h.fc[vp&(fcacheSize-1)]
 	if ent.tag != vp<<1|1 {
-		pte, levels, f := mmu.Walk(m.Bus, m.TTBR(), m.FormatB(), pc)
-		e.st.PageWalks++
-		e.st.WalkLevels += uint64(levels)
+		pte, _, f := sem.Walk(m, &e.st, pc)
 		if f != isa.FaultNone {
 			return 0, f
 		}
-		if !m.Bus.IsRAM(pte.PhysPage, isa.PageSize) {
+		flags := sem.Flags(m.Bus, pte)
+		if flags&sem.RAM == 0 {
 			return 0, isa.FaultBus
 		}
-		ent.tag = vp<<1 | 1
-		ent.pbase = pte.PhysPage
-		ent.flags = 0
-		if pte.User {
-			ent.flags |= fUser
-		}
+		*ent = tlbEntry{tag: vp<<1 | 1, pbase: pte.PhysPage, flags: flags}
 	}
-	if !m.CPU.Kernel && ent.flags&fUser == 0 {
-		return 0, isa.FaultPermission
+	if f := sem.Check(m, ent.flags, false, false); f != isa.FaultNone {
+		return 0, f
 	}
 	return ent.pbase, isa.FaultNone
 }
 
-// decode returns the decoded instruction at physical address pa,
-// filling the per-page decode cache lazily.
-func (e *Interp) decode(pa uint32) isa.Inst {
-	page := pa >> isa.PageShift
-	dp := e.h.dpages[page]
-	if dp == nil {
-		dp = &decodedPage{gen: 1}
-		e.h.dpages[page] = dp
-		e.h.codePages[page] = true
-		e.st.PagesDecoded++
-	}
-	idx := (pa & isa.PageMask) >> 2
-	if dp.stamp[idx] != dp.gen {
-		dp.insts[idx] = isa.Decode(e.m.Bus.ReadWordRAM(pa))
-		dp.stamp[idx] = dp.gen
-	}
-	return dp.insts[idx]
-}
-
-// noteStore invalidates cached decodes when guest code is overwritten.
-// The page stays allocated; only its generation advances.
+// noteStore stales cached decodes of the stored page on every hart:
+// RAM is shared, so a store by any hart reaches every hart's code.
 func (e *Interp) noteStore(pa uint32) {
-	page := pa >> isa.PageShift
-	if len(e.harts) > 1 {
-		// RAM is shared: a store by any hart must stale every hart's
-		// cached decodes of that page.
-		for _, h := range e.harts {
-			if int(page) < len(h.codePages) && h.codePages[page] {
-				if dp := h.dpages[page]; dp != nil {
-					dp.gen++
-				}
-				e.st.SMCInvalidations++
-			}
-		}
-		return
-	}
-	if int(page) < len(e.h.codePages) && e.h.codePages[page] {
-		if dp := e.h.dpages[page]; dp != nil {
-			dp.gen++
-		}
-		e.st.SMCInvalidations++
+	for _, h := range e.harts {
+		h.code.NoteStore(pa, &e.st)
 	}
 }
 
@@ -305,25 +222,10 @@ func (e *Interp) noteStore(pa uint32) {
 // instruction stream the pre-SMP engine did.
 func (e *Interp) Run(harts []*machine.Machine, limit uint64) (engine.Stats, error) {
 	e.reset(harts)
-	var total uint64
-	for {
-		running := false
-		for _, h := range e.harts {
-			if h.m.Halted {
-				continue
-			}
-			running = true
-			if err := e.runSlice(h, &total, limit); err != nil {
-				e.st.Instructions = total
-				return e.st, err
-			}
-		}
-		if !running {
-			break
-		}
-	}
-	e.st.Instructions = total
-	return e.st, nil
+	err := sem.Run(harts, &e.st, func(i int, total *uint64) error {
+		return e.runSlice(e.harts[i], total, limit)
+	})
+	return e.st, err
 }
 
 // runSlice executes up to SchedQuantum instructions on h. The loop
@@ -332,21 +234,21 @@ func (e *Interp) Run(harts []*machine.Machine, limit uint64) (engine.Stats, erro
 //
 //   - The tick check. Instead of a modulo per instruction, tickAt
 //     holds the next retired-count boundary at which TickFn fires; the
-//     loop compares against it and advances it by tickQuantum when an
-//     instruction retires past it. Non-retiring iterations (IRQ
+//     loop compares against it and advances it by sem.TickQuantum when
+//     an instruction retires past it. Non-retiring iterations (IRQ
 //     delivery, fetch faults) leave insns — and therefore a boundary
 //     that is due — unchanged, exactly like the modulo form.
 //
 //   - The fetch translation. A one-entry micro-cache in locals keeps
-//     the last fetch page's physical base and decoded-page pointer;
-//     straight-line and intra-page code skips fetchPage and the dpages
-//     map lookup entirely. The guard re-checks everything the full
-//     path would consult: virtual page, privilege mode (fetchPage does
-//     a per-call user-permission check), MMU enable, and the hart's
-//     invalidation epoch. Self-modifying code needs no guard because
-//     the per-instruction stamp/gen recheck below is the same one
-//     decode performs. Pre-PR, a fetch-cache hit counted no stats, so
-//     serving hits from the micro-cache changes no counter.
+//     the last fetch page's decoded page; straight-line and intra-page
+//     code skips fetchPage and the decode-cache map lookup entirely.
+//     The guard re-checks everything the full path would consult:
+//     virtual page, privilege mode (fetchPage does a per-call
+//     user-permission check), MMU enable, and the hart's invalidation
+//     epoch. Self-modifying code needs no guard because
+//     DecodedPage.Inst rechecks the word's decode stamp on every call.
+//     A fetch-cache hit counts no stats, so serving hits from the
+//     micro-cache changes no counter.
 func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 	e.attach(h)
 	m := h.m
@@ -355,19 +257,18 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 
 	tickAt := ^uint64(0) // never fires while TickFn is nil
 	if m.TickFn != nil {
-		if h.insns%tickQuantum == 0 && h.insns != 0 {
+		if h.insns%sem.TickQuantum == 0 && h.insns != 0 {
 			tickAt = h.insns // slice starts on a due boundary
 		} else {
-			tickAt = h.insns + tickQuantum - h.insns%tickQuantum
+			tickAt = h.insns + sem.TickQuantum - h.insns%sem.TickQuantum
 		}
 	}
 
 	var (
-		fetchVP     = ^uint32(0) // virtual page of the cached fetch (^0 = none)
-		fetchPB     uint32       // its physical page base
-		fetchDP     *decodedPage // its decode cache
-		fetchKernel bool         // privilege mode it was resolved under
-		fetchMMU    bool         // MMU enable it was resolved under
+		fetchVP     = ^uint32(0)     // virtual page of the cached fetch (^0 = none)
+		fetchDP     *sem.DecodedPage // its decode cache
+		fetchKernel bool             // privilege mode it was resolved under
+		fetchMMU    bool             // MMU enable it was resolved under
 		fetchEpoch  = h.fetchEpoch
 	)
 
@@ -376,34 +277,27 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 			return engine.ErrLimit
 		}
 		if h.insns == tickAt {
-			m.TickFn(tickQuantum)
+			m.TickFn(sem.TickQuantum)
 		}
 		if m.IRQPending() {
-			m.Enter(isa.ExcIRQ, cpu.PC)
-			e.st.IRQsDelivered++
-			e.st.ExceptionsTaken++
+			sem.IRQ(m, &e.st)
 			continue
 		}
 
 		pc := cpu.PC
-		var in isa.Inst
+		var in *isa.Inst
 		if pc>>isa.PageShift == fetchVP && cpu.Kernel == fetchKernel &&
 			m.MMUEnabled() == fetchMMU && h.fetchEpoch == fetchEpoch {
-			idx := (pc & isa.PageMask) >> 2
-			if fetchDP.stamp[idx] != fetchDP.gen {
-				fetchDP.insts[idx] = isa.Decode(m.Bus.ReadWordRAM(fetchPB | pc&isa.PageMask))
-				fetchDP.stamp[idx] = fetchDP.gen
-			}
-			in = fetchDP.insts[idx]
+			in = fetchDP.Inst(sem.Word(pc))
 		} else {
 			pbase, fault := e.fetchPage(pc)
 			if fault != isa.FaultNone {
-				m.EnterMemFault(isa.ExcInstFault, fault, pc, false, pc)
-				e.st.ExceptionsTaken++
+				sem.FetchFault(m, &e.st, fault, pc)
 				fetchVP = ^uint32(0)
 				continue
 			}
-			in = e.decode(pbase | pc&isa.PageMask)
+			dp := h.code.Page(pbase, &e.st)
+			in = dp.Inst(sem.Word(pc))
 			// Cache the translation only when every word of the page is
 			// RAM: always true under the MMU (fetchPage requires it when
 			// filling the fc), and checked explicitly for the physical
@@ -412,8 +306,7 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 			// must not weaken mid-page.
 			if m.MMUEnabled() || m.Bus.IsRAM(pbase, isa.PageSize) {
 				fetchVP = pc >> isa.PageShift
-				fetchPB = pbase
-				fetchDP = h.dpages[pbase>>isa.PageShift]
+				fetchDP = dp
 				fetchKernel = cpu.Kernel
 				fetchMMU = m.MMUEnabled()
 				fetchEpoch = h.fetchEpoch
@@ -424,133 +317,37 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 		h.insns++
 		*total++
 		if h.insns > tickAt {
-			tickAt += tickQuantum
+			tickAt += sem.TickQuantum
 		}
-		dispatch[in.Op](e, in, pc)
+
+		switch va, k := sem.Exec(m, &e.st, in, pc); k {
+		case sem.Taken:
+			if e.profile {
+				e.classifyBranch(pc, cpu.PC, in.Op == isa.OpBR || in.Op == isa.OpBLR)
+			}
+		case sem.LoadOp:
+			pa, flags, fault := e.translate(va, false, in.Op == isa.OpLDT)
+			sem.Load(m, &e.st, in, pc, va, pa, flags, fault)
+		case sem.StoreOp:
+			pa, flags, fault := e.translate(va, true, in.Op == isa.OpSTT)
+			if _, out := sem.Store(m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
+				e.noteStore(pa)
+			}
+		case sem.LoadExOp:
+			pa, flags, fault := e.translate(va, false, false)
+			sem.LoadEx(m, &e.st, in, pc, va, pa, flags, fault)
+		case sem.StoreExOp:
+			pa, flags, fault := e.translate(va, true, false)
+			if _, out := sem.StoreEx(m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
+				e.noteStore(pa)
+			}
+		case sem.CoprocOp:
+			if _, ok := sem.Coproc(m, &e.st, in, pc); !ok {
+				sem.Undefined(m, &e.st, pc)
+			}
+		case sem.Undef:
+			sem.Undefined(m, &e.st, pc)
+		}
 	}
 	return nil
-}
-
-// undef raises the undefined-instruction exception for the instruction
-// at pc.
-func (e *Interp) undef(pc uint32) {
-	e.m.Enter(isa.ExcUndef, pc+4)
-	e.st.ExceptionsTaken++
-}
-
-func (e *Interp) load(in isa.Inst, pc, va uint32, size int, asUser bool) {
-	m := e.m
-	if size == 4 {
-		va &^= 3
-	}
-	e.st.MemReads++
-	pa, isRAM, fault := e.translate(va, false, asUser)
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, false, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	var v uint32
-	if isRAM {
-		if size == 4 {
-			v = m.Bus.ReadWordRAM(pa)
-		} else {
-			v = uint32(m.Bus.RAM[pa])
-		}
-	} else {
-		e.st.DeviceAccesses++
-		var f isa.FaultCode
-		v, f = m.Bus.ReadPhys(pa, size)
-		if f != isa.FaultNone {
-			m.EnterMemFault(isa.ExcDataFault, f, va, false, pc)
-			e.st.ExceptionsTaken++
-			return
-		}
-	}
-	m.CPU.Regs[in.Rd] = v
-	m.CPU.PC = pc + 4
-}
-
-// loadExclusive implements LDX: a word load that arms this hart's
-// exclusive monitor on the loaded address. Exclusives are RAM-only;
-// an MMIO target raises a bus data fault.
-func (e *Interp) loadExclusive(in isa.Inst, pc, va uint32) {
-	m := e.m
-	va &^= 3
-	e.st.MemReads++
-	e.st.ExclusiveOps++
-	pa, isRAM, fault := e.translate(va, false, false)
-	if fault == isa.FaultNone && !isRAM {
-		fault = isa.FaultBus
-	}
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, false, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	m.Mon.Arm(m.HartID, pa)
-	m.CPU.Regs[in.Rd] = m.Bus.ReadWordRAM(pa)
-	m.CPU.PC = pc + 4
-}
-
-// storeExclusive implements STX: store rb to [ra] iff this hart still
-// holds the reservation, writing 0 (success) or 1 (failure) to rd.
-func (e *Interp) storeExclusive(in isa.Inst, pc, va uint32) {
-	m := e.m
-	va &^= 3
-	e.st.ExclusiveOps++
-	pa, isRAM, fault := e.translate(va, true, false)
-	if fault == isa.FaultNone && !isRAM {
-		fault = isa.FaultBus
-	}
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, true, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	if m.Mon.Exclusive(m.HartID, pa) {
-		e.st.MemWrites++
-		m.Bus.WriteWordRAM(pa, m.CPU.Regs[in.Rb])
-		m.Mon.NoteStore(pa) // break other harts' reservations
-		e.noteStore(pa)
-		m.CPU.Regs[in.Rd] = 0
-	} else {
-		e.st.ExclusiveFails++
-		m.CPU.Regs[in.Rd] = 1
-	}
-	m.CPU.PC = pc + 4
-}
-
-func (e *Interp) store(in isa.Inst, pc, va uint32, size int, asUser bool) {
-	m := e.m
-	if size == 4 {
-		va &^= 3
-	}
-	e.st.MemWrites++
-	pa, isRAM, fault := e.translate(va, true, asUser)
-	if fault != isa.FaultNone {
-		m.EnterMemFault(isa.ExcDataFault, fault, va, true, pc)
-		e.st.ExceptionsTaken++
-		return
-	}
-	v := m.CPU.Regs[in.Rd]
-	if isRAM {
-		if size == 4 {
-			m.Bus.WriteWordRAM(pa, v)
-		} else {
-			m.Bus.RAM[pa] = byte(v)
-		}
-		if m.Mon.Armed() {
-			m.Mon.NoteStore(pa)
-		}
-		e.noteStore(pa)
-	} else {
-		e.st.DeviceAccesses++
-		if f := m.Bus.WritePhys(pa, size, v); f != isa.FaultNone {
-			m.EnterMemFault(isa.ExcDataFault, f, va, true, pc)
-			e.st.ExceptionsTaken++
-			return
-		}
-	}
-	m.CPU.PC = pc + 4
 }
