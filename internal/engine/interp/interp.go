@@ -296,17 +296,19 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 				fetchVP = ^uint32(0)
 				continue
 			}
-			dp := h.code.Page(pbase, &e.st)
-			in = dp.Inst(sem.Word(pc))
+			in = h.code.Page(pbase, &e.st).Inst(sem.Word(pc))
 			// Cache the translation only when every word of the page is
 			// RAM: always true under the MMU (fetchPage requires it when
 			// filling the fc), and checked explicitly for the physical
 			// tail page when the MMU is off — fetchPage validates
 			// IsRAM(pc, WordBytes) per call there, which the fast path
-			// must not weaken mid-page.
+			// must not weaken mid-page. The page is looked up a second
+			// time on purpose: a fetch miss costs two decode-cache
+			// lookups, and that cost is part of what the inter-page
+			// control-flow benchmarks measure on this engine.
 			if m.MMUEnabled() || m.Bus.IsRAM(pbase, isa.PageSize) {
 				fetchVP = pc >> isa.PageShift
-				fetchDP = dp
+				fetchDP = h.code.Page(pbase, &e.st)
 				fetchKernel = cpu.Kernel
 				fetchMMU = m.MMUEnabled()
 				fetchEpoch = h.fetchEpoch
