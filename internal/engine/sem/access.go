@@ -71,9 +71,9 @@ const (
 	StoredRAM               // the access retired and wrote RAM at pa
 )
 
-// DataFault enters the data abort for an access to va by the
+// dataFault enters the data abort for an access to va by the
 // instruction at pc.
-func DataFault(m *machine.Machine, st *engine.Stats, fault isa.FaultCode, va uint32, write bool, pc uint32) {
+func dataFault(m *machine.Machine, st *engine.Stats, fault isa.FaultCode, va uint32, write bool, pc uint32) {
 	m.EnterMemFault(isa.ExcDataFault, fault, va, write, pc)
 	st.ExceptionsTaken++
 }
@@ -91,7 +91,7 @@ func size(op isa.Op) int {
 // the loaded value.
 func Load(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32, flags uint8, fault isa.FaultCode) (uint32, Access) {
 	if fault != isa.FaultNone {
-		DataFault(m, st, fault, va, false, pc)
+		dataFault(m, st, fault, va, false, pc)
 		return 0, Faulted
 	}
 	var v uint32
@@ -99,7 +99,7 @@ func Load(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32,
 	case flags&RAM == 0:
 		st.DeviceAccesses++
 		if v, fault = m.Bus.ReadPhys(pa, size(in.Op)); fault != isa.FaultNone {
-			DataFault(m, st, fault, va, false, pc)
+			dataFault(m, st, fault, va, false, pc)
 			return 0, Faulted
 		}
 	case in.Op == isa.OpLDB:
@@ -117,14 +117,14 @@ func Load(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32,
 // exclusive reservation on the word.
 func Store(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32, flags uint8, fault isa.FaultCode) (uint32, Access) {
 	if fault != isa.FaultNone {
-		DataFault(m, st, fault, va, true, pc)
+		dataFault(m, st, fault, va, true, pc)
 		return 0, Faulted
 	}
 	v := m.CPU.Regs[in.Rd]
 	if flags&RAM == 0 {
 		st.DeviceAccesses++
 		if fault = m.Bus.WritePhys(pa, size(in.Op), v); fault != isa.FaultNone {
-			DataFault(m, st, fault, va, true, pc)
+			dataFault(m, st, fault, va, true, pc)
 			return 0, Faulted
 		}
 		m.CPU.PC = pc + 4
@@ -150,7 +150,7 @@ func LoadEx(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint3
 		fault = isa.FaultBus
 	}
 	if fault != isa.FaultNone {
-		DataFault(m, st, fault, va, false, pc)
+		dataFault(m, st, fault, va, false, pc)
 		return 0, Faulted
 	}
 	m.Mon.Arm(m.HartID, pa)
@@ -168,7 +168,7 @@ func StoreEx(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint
 		fault = isa.FaultBus
 	}
 	if fault != isa.FaultNone {
-		DataFault(m, st, fault, va, true, pc)
+		dataFault(m, st, fault, va, true, pc)
 		return 0, Faulted
 	}
 	m.CPU.PC = pc + 4

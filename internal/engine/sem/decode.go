@@ -17,13 +17,17 @@ type DecodedPage struct {
 	insts [insnsPerPage]isa.Inst
 	stamp [insnsPerPage]uint32
 	gen   uint32
-	bus   *mem.Bus
-	base  uint32 // physical base of the page
+
+	// The page knows where its code lives so that Inst takes one
+	// argument and stays cheap enough for the compiler to inline into
+	// the engines' fetch loops.
+	bus  *mem.Bus
+	base uint32 // physical base of the page
 }
 
 // Inst returns the instruction in word i of this page, decoding it if
-// it was never decoded or the page was stored to since. The result
-// stays valid until the next Inst call on this page.
+// it was never decoded or the page was stored to since. What the
+// result points to changes only when that word is decoded again.
 func (dp *DecodedPage) Inst(i uint32) *isa.Inst {
 	if dp.stamp[i] != dp.gen {
 		dp.decode(i)
