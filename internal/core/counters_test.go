@@ -28,17 +28,11 @@ import (
 // architectural state and instruction counts. Regenerate with
 // UPDATE_GOLDEN=1 go test ./internal/core -run EngineCountersGolden.
 func TestEngineCountersGolden(t *testing.T) {
-	var benches []*core.Benchmark
-	benches = append(benches, bench.Suite()...)
-	benches = append(benches, bench.ExtSuite()...)
-	benches = append(benches, bench.SMPSuite()...)
-	benches = append(benches, spec.Suite()...)
 	engines := append(enginetest.Engines(), interp.NewProfiling())
-
 	var buf bytes.Buffer
 	for _, sup := range arch.All() {
 		for _, eng := range engines {
-			for _, b := range benches {
+			for _, b := range registeredBenches() {
 				r := core.NewRunner(eng, sup)
 				if b.Category == core.CatSMP {
 					r.Cores = 2
@@ -81,6 +75,16 @@ func TestEngineCountersGolden(t *testing.T) {
 		}
 		t.Fatalf("engine counters diverge from golden: %d lines, want %d", len(gl), len(wl))
 	}
+}
+
+// registeredBenches returns every registered benchmark: the SimBench
+// suite, its extensions, the SMP family and the SPEC-like workloads.
+func registeredBenches() []*core.Benchmark {
+	var benches []*core.Benchmark
+	benches = append(benches, bench.Suite()...)
+	benches = append(benches, bench.ExtSuite()...)
+	benches = append(benches, bench.SMPSuite()...)
+	return append(benches, spec.Suite()...)
 }
 
 // writeStats appends every non-zero field of st as " Name=value".

@@ -16,7 +16,6 @@ import (
 	"simbench/internal/enginetest"
 	"simbench/internal/machine"
 	"simbench/internal/mem"
-	"simbench/internal/spec"
 )
 
 // residencyProbe wraps an engine and counts the guest-RAM pages the
@@ -84,14 +83,9 @@ func mapped(t *testing.T, addr uintptr) bool {
 // everything the guest touches, or first-touch page faults would land
 // in timed kernels.
 func TestPrefaultCoversGuestReach(t *testing.T) {
-	var benches []*core.Benchmark
-	benches = append(benches, bench.Suite()...)
-	benches = append(benches, bench.ExtSuite()...)
-	benches = append(benches, bench.SMPSuite()...)
-	benches = append(benches, spec.Suite()...)
 	for _, sup := range arch.All() {
 		for _, eng := range enginetest.Engines() {
-			for _, b := range benches {
+			for _, b := range registeredBenches() {
 				probe := &residencyProbe{Engine: eng}
 				r := core.NewRunner(probe, sup)
 				if b.Category == core.CatSMP {
