@@ -127,14 +127,19 @@ func DiffRuns(base, current RunRecord, threshold float64) Diff {
 // explains — while short-history cells fall back to the fixed
 // threshold, and a degenerate band (identical history) is floored to
 // median±Threshold. The baseline still anchors the verdict: because
-// the band follows recent history, a cell whose band median has moved
-// beyond Threshold from the baseline is in drift — its band is centred
-// on the wrong level, so the sample is judged against the baseline and
-// threshold directly (otherwise a +3 %-per-run creep would re-center
-// the band each run and never fail CI, and a drifted band would grade
-// a still-regressed sample "improved"). history should exclude the
-// current run itself, or the measurement under test would vouch for
-// its own normality.
+// the band follows recent history, a cell whose level since the
+// baseline — the median of at least driftMinSamples fresh samples
+// recorded after it — has moved beyond Threshold from the baseline is
+// in drift: its band is centred on the wrong level, so the sample is
+// judged against the baseline and threshold directly (otherwise a
+// +3 %-per-run creep would re-center the band each run and never fail
+// CI, and a drifted band would grade a still-regressed sample
+// "improved"). Drift is measured only from runs after the baseline,
+// because a baseline that is an outlier of the history before it has
+// not drifted: judging against it would grade the sample on one noisy
+// measurement instead of the band. history should exclude the current
+// run itself, or the measurement under test would vouch for its own
+// normality.
 //
 // Matching, Broken, OnlyBase and OnlyCurrent semantics are identical
 // to DiffRuns: statistics refine the verdict on comparable cells, not
@@ -142,6 +147,7 @@ func DiffRuns(base, current RunRecord, threshold float64) Diff {
 func DiffRunsStat(base, current RunRecord, history []RunRecord, g StatGate) Diff {
 	g = g.fill()
 	samples := Samples(history)
+	since := Samples(recordedAfter(base, history))
 	d := diffRuns(base, current, func(b, cur report.Record) judgment {
 		ref := RefOfRecord(cur)
 		xs := g.Pool(samples[ref])
@@ -174,18 +180,43 @@ func DiffRunsStat(base, current RunRecord, history []RunRecord, g StatGate) Diff
 		// just-fixed cell go green immediately instead of failing until
 		// the stale median ages out of the window. Only an anchored
 		// band grades samples statistically.
-		if drift := band.Median/b.KernelSeconds - 1; drift > g.Threshold || drift < -g.Threshold {
-			j = fixedJudge(g.Threshold, b, cur)
-			j.noise = band
-			j.gate = "stat (drift)"
-		} else {
-			j.verdict = band.Verdict(cur.KernelSeconds)
+		if xs := g.Pool(since[ref]); len(xs) >= driftMinSamples {
+			if drift := stats.Median(xs)/b.KernelSeconds - 1; drift > g.Threshold || drift < -g.Threshold {
+				j = fixedJudge(g.Threshold, b, cur)
+				j.noise = band
+				j.gate = "stat (drift)"
+				return j
+			}
 		}
+		j.verdict = band.Verdict(cur.KernelSeconds)
 		return j
 	})
 	d.Mode = "stat"
 	d.Threshold = g.Threshold
 	return d
+}
+
+// driftMinSamples is how many fresh samples recorded after the
+// baseline DiffRunsStat needs before it judges a cell in drift: the
+// median of three is the smallest level one outlier cannot set.
+const driftMinSamples = 3
+
+// recordedAfter returns the runs of history recorded after base: those
+// that follow it in history or, when base is not among them, those
+// stamped later.
+func recordedAfter(base RunRecord, history []RunRecord) []RunRecord {
+	for i := len(history) - 1; i >= 0; i-- {
+		if rr := history[i]; rr.Time.Equal(base.Time) && rr.Label == base.Label && rr.Host == base.Host {
+			return history[i+1:]
+		}
+	}
+	var after []RunRecord
+	for _, rr := range history {
+		if rr.Time.After(base.Time) {
+			after = append(after, rr)
+		}
+	}
+	return after
 }
 
 // diffRuns matches cells between two runs and applies judge to each

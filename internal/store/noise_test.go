@@ -295,6 +295,30 @@ func TestDiffRunsStatDrift(t *testing.T) {
 	}
 }
 
+// TestDiffRunsStatOutlierBaseline: a baseline that is an outlier of
+// the history before it has not drifted. Six quiet runs, the last one
+// 30 % fast and saved as the baseline; a current run back at the
+// cell's norm sits inside the band and must be stable, not "+43 %
+// against the baseline".
+func TestDiffRunsStatOutlierBaseline(t *testing.T) {
+	levels := []float64{100, 102, 98, 101, 99, 70}
+	var history []RunRecord
+	for r := range levels {
+		r := r
+		history = append(history, NewRun("simbench", fabricateRun(1, func(int) time.Duration { return ms(levels[r]) })))
+	}
+	base := history[len(history)-1]
+	g := StatGate{Threshold: 0.10, Seed: 1}
+	d := DiffRunsStat(base, NewRun("simbench", fabricateRun(1, func(int) time.Duration { return ms(100) })), history, g)
+	if d.Regressed() || d.Stable != 1 {
+		t.Errorf("sample at the norm judged against an outlier baseline: %+v", d)
+	}
+	// A sample outside the band still flags.
+	if d := DiffRunsStat(base, NewRun("simbench", fabricateRun(1, func(int) time.Duration { return ms(130) })), history, g); !d.Regressed() || d.Regressions[0].Gate != "stat" {
+		t.Errorf("sample above the band not flagged by the band: %+v", d)
+	}
+}
+
 // TestDiffRunsStatDriftDown: the mirror case — history improved well
 // past the baseline, and a sample popping back up to the baseline
 // level breaches the (low) band. That cell is no worse than what was
