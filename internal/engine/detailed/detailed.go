@@ -94,7 +94,8 @@ const (
 )
 
 // traceRec is one entry of the diagnostic trace ring every detailed
-// simulator keeps.
+// simulator keeps: the instruction's pc, effective address (0 when it
+// makes no data access), rd once it retired, and opcode.
 type traceRec struct {
 	pc, ea, res uint32
 	op          uint8
@@ -183,7 +184,7 @@ func latency(op isa.Op) uint64 {
 // the event-driven core that detailed simulators are built around and
 // the reason they are an order of magnitude slower than fast
 // interpreters, whatever the instruction does.
-func (e *Detailed) record(pc uint32, in *isa.Inst, ea, res uint32) {
+func (e *Detailed) record(pc uint32, in isa.Inst, ea uint32) {
 	lat := latency(in.Op)
 	// Schedule the stage events with their per-stage delays.
 	e.evq = e.evq[:0]
@@ -210,7 +211,7 @@ func (e *Detailed) record(pc uint32, in *isa.Inst, ea, res uint32) {
 	// Dependency bookkeeping: fold source/destination registers into a
 	// running scoreboard word.
 	e.depScratch = e.depScratch<<1 ^ uint32(in.Rd)<<8 ^ uint32(in.Ra)<<4 ^ uint32(in.Rb) ^ uint32(in.Op)
-	e.trace[e.traceHead] = traceRec{pc: pc, ea: ea, res: res, op: uint8(in.Op)}
+	e.trace[e.traceHead] = traceRec{pc: pc, ea: ea, res: e.m.CPU.Regs[in.Rd], op: uint8(in.Op)}
 	e.traceHead = (e.traceHead + 1) & 255
 }
 
@@ -382,7 +383,7 @@ func (e *Detailed) runSlice(h *hart, total *uint64, limit uint64) error {
 		in := isa.Decode(m.Bus.ReadWordRAM(pa))
 		h.insns++
 		*total++
-		e.step(&in, pc)
+		e.step(in, pc)
 	}
 	return nil
 }
@@ -391,12 +392,12 @@ func (e *Detailed) runSlice(h *hart, total *uint64, limit uint64) error {
 // shared semantics: the branch predictor on branches, the cache
 // hierarchy on data accesses, and the record hook for every
 // instruction that retires (an undefined or faulting one does not).
-func (e *Detailed) step(in *isa.Inst, pc uint32) {
+func (e *Detailed) step(in isa.Inst, pc uint32) {
 	m := e.m
-	v, k := sem.Exec(m, &e.st, in, pc)
+	va, k := sem.Exec(m, in, &e.st, pc)
 	switch k {
 	case sem.Retired:
-		e.record(pc, in, 0, v)
+		e.record(pc, in, 0)
 	case sem.Taken, sem.NotTaken:
 		taken := k == sem.Taken
 		if taken {
@@ -405,40 +406,40 @@ func (e *Detailed) step(in *isa.Inst, pc uint32) {
 			e.branchNotTaken++
 		}
 		e.tick += e.bp.predictAndTrain(pc, taken, m.CPU.PC)
-		e.record(pc, in, 0, 0)
+		e.record(pc, in, 0)
 	case sem.LoadOp:
-		pa, flags, fault := e.translate(v, false, in.Op == isa.OpLDT)
+		pa, flags, fault := e.translate(va, false, in.Op == isa.OpLDT)
 		if fault == isa.FaultNone {
 			e.tick += e.mem.dataAccess(pa, false)
 		}
-		if res, out := sem.Load(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
-			e.record(pc, in, v, res)
+		if sem.Load(m, in, &e.st, pc, va, pa, flags, fault) != sem.Faulted {
+			e.record(pc, in, va)
 		}
 	case sem.StoreOp:
-		pa, flags, fault := e.translate(v, true, in.Op == isa.OpSTT)
+		pa, flags, fault := e.translate(va, true, in.Op == isa.OpSTT)
 		if fault == isa.FaultNone {
 			e.tick += e.mem.dataAccess(pa, true)
 		}
-		if res, out := sem.Store(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
-			e.record(pc, in, v, res)
+		if sem.Store(m, in, &e.st, pc, va, pa, flags, fault) != sem.Faulted {
+			e.record(pc, in, va)
 		}
 	case sem.LoadExOp:
 		// Exclusives reach the cache hierarchy only once the RAM-only
 		// check has passed.
-		pa, flags, fault := e.translate(v, false, false)
-		if res, out := sem.LoadEx(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
+		pa, flags, fault := e.translate(va, false, false)
+		if sem.LoadEx(m, in, &e.st, pc, va, pa, flags, fault) != sem.Faulted {
 			e.tick += e.mem.dataAccess(pa, false)
-			e.record(pc, in, v, res)
+			e.record(pc, in, va)
 		}
 	case sem.StoreExOp:
-		pa, flags, fault := e.translate(v, true, false)
-		if res, out := sem.StoreEx(m, &e.st, in, pc, v, pa, flags, fault); out != sem.Faulted {
+		pa, flags, fault := e.translate(va, true, false)
+		if sem.StoreEx(m, in, &e.st, pc, va, pa, flags, fault) != sem.Faulted {
 			e.tick += e.mem.dataAccess(pa, true)
-			e.record(pc, in, v, res)
+			e.record(pc, in, va)
 		}
 	case sem.CoprocOp:
-		if res, ok := sem.Coproc(m, &e.st, in, pc); ok {
-			e.record(pc, in, 0, res)
+		if sem.Coproc(m, in, &e.st, pc) {
+			e.record(pc, in, 0)
 		} else {
 			sem.Undefined(m, &e.st, pc)
 		}

@@ -172,7 +172,7 @@ func (e *Direct) reset(harts []*machine.Machine) {
 	e.attach(e.harts[0])
 }
 
-// attach makes h the current hart for the step/translate fast paths.
+// attach makes h the current hart for the translate fast paths.
 func (e *Direct) attach(h *hart) {
 	e.h = h
 	e.m = h.m
@@ -334,7 +334,38 @@ func (e *Direct) runSlice(h *hart, total *uint64, limit uint64) error {
 		}
 		h.insns++
 		*total++
-		e.step(in, pc)
+		// The shared semantics, with the VM exits a hypervisor takes
+		// on coprocessor and device accesses.
+		switch va, k := sem.Exec(m, *in, &e.st, pc); k {
+		case sem.LoadOp:
+			pa, flags, fault := e.translate(va, false, in.Op == isa.OpLDT)
+			e.deviceExit(flags, fault)
+			sem.Load(m, *in, &e.st, pc, va, pa, flags, fault)
+		case sem.StoreOp:
+			pa, flags, fault := e.translate(va, true, in.Op == isa.OpSTT)
+			e.deviceExit(flags, fault)
+			if sem.Store(m, *in, &e.st, pc, va, pa, flags, fault) == sem.StoredRAM {
+				e.noteStore(pa)
+			}
+		case sem.LoadExOp:
+			pa, flags, fault := e.translate(va, false, false)
+			sem.LoadEx(m, *in, &e.st, pc, va, pa, flags, fault)
+		case sem.StoreExOp:
+			pa, flags, fault := e.translate(va, true, false)
+			if sem.StoreEx(m, *in, &e.st, pc, va, pa, flags, fault) == sem.StoredRAM {
+				e.noteStore(pa)
+			}
+		case sem.CoprocOp:
+			// Coprocessor access: direct on hardware, trapped under KVM.
+			if e.mode == ModeVirt {
+				e.vmExit(3)
+			}
+			if !sem.Coproc(m, *in, &e.st, pc) {
+				e.undef(pc)
+			}
+		case sem.Undef:
+			e.undef(pc)
+		}
 	}
 	return nil
 }
@@ -346,41 +377,6 @@ func (e *Direct) undef(pc uint32) {
 		e.vmExit(2)
 	}
 	sem.Undefined(e.m, &e.st, pc)
-}
-
-// step executes one instruction: the shared semantics, with the VM
-// exits a hypervisor takes on coprocessor and device accesses.
-func (e *Direct) step(in *isa.Inst, pc uint32) {
-	switch va, k := sem.Exec(e.m, &e.st, in, pc); k {
-	case sem.LoadOp:
-		pa, flags, fault := e.translate(va, false, in.Op == isa.OpLDT)
-		e.deviceExit(flags, fault)
-		sem.Load(e.m, &e.st, in, pc, va, pa, flags, fault)
-	case sem.StoreOp:
-		pa, flags, fault := e.translate(va, true, in.Op == isa.OpSTT)
-		e.deviceExit(flags, fault)
-		if _, out := sem.Store(e.m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
-			e.noteStore(pa)
-		}
-	case sem.LoadExOp:
-		pa, flags, fault := e.translate(va, false, false)
-		sem.LoadEx(e.m, &e.st, in, pc, va, pa, flags, fault)
-	case sem.StoreExOp:
-		pa, flags, fault := e.translate(va, true, false)
-		if _, out := sem.StoreEx(e.m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
-			e.noteStore(pa)
-		}
-	case sem.CoprocOp:
-		// Coprocessor access: direct on hardware, trapped under KVM.
-		if e.mode == ModeVirt {
-			e.vmExit(3)
-		}
-		if _, ok := sem.Coproc(e.m, &e.st, in, pc); !ok {
-			e.undef(pc)
-		}
-	case sem.Undef:
-		e.undef(pc)
-	}
 }
 
 // deviceExit models the cost of a device access, free on hardware and

@@ -322,29 +322,29 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 			tickAt += sem.TickQuantum
 		}
 
-		switch va, k := sem.Exec(m, &e.st, in, pc); k {
+		switch va, k := sem.Exec(m, *in, &e.st, pc); k {
 		case sem.Taken:
 			if e.profile {
 				e.classifyBranch(pc, cpu.PC, in.Op == isa.OpBR || in.Op == isa.OpBLR)
 			}
 		case sem.LoadOp:
 			pa, flags, fault := e.translate(va, false, in.Op == isa.OpLDT)
-			sem.Load(m, &e.st, in, pc, va, pa, flags, fault)
+			sem.Load(m, *in, &e.st, pc, va, pa, flags, fault)
 		case sem.StoreOp:
 			pa, flags, fault := e.translate(va, true, in.Op == isa.OpSTT)
-			if _, out := sem.Store(m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
+			if sem.Store(m, *in, &e.st, pc, va, pa, flags, fault) == sem.StoredRAM {
 				e.noteStore(pa)
 			}
 		case sem.LoadExOp:
 			pa, flags, fault := e.translate(va, false, false)
-			sem.LoadEx(m, &e.st, in, pc, va, pa, flags, fault)
+			sem.LoadEx(m, *in, &e.st, pc, va, pa, flags, fault)
 		case sem.StoreExOp:
 			pa, flags, fault := e.translate(va, true, false)
-			if _, out := sem.StoreEx(m, &e.st, in, pc, va, pa, flags, fault); out == sem.StoredRAM {
+			if sem.StoreEx(m, *in, &e.st, pc, va, pa, flags, fault) == sem.StoredRAM {
 				e.noteStore(pa)
 			}
 		case sem.CoprocOp:
-			if _, ok := sem.Coproc(m, &e.st, in, pc); !ok {
+			if !sem.Coproc(m, *in, &e.st, pc) {
 				sem.Undefined(m, &e.st, pc)
 			}
 		case sem.Undef:

@@ -87,12 +87,11 @@ func size(op isa.Op) int {
 }
 
 // Load finishes the load in (LDW, LDB, LDT) from va, which the
-// engine translated to pa with the given flags or to fault. It returns
-// the loaded value.
-func Load(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32, flags uint8, fault isa.FaultCode) (uint32, Access) {
+// engine translated to pa with the given flags or to fault.
+func Load(m *machine.Machine, in isa.Inst, st *engine.Stats, pc, va, pa uint32, flags uint8, fault isa.FaultCode) Access {
 	if fault != isa.FaultNone {
 		dataFault(m, st, fault, va, false, pc)
-		return 0, Faulted
+		return Faulted
 	}
 	var v uint32
 	switch {
@@ -100,7 +99,7 @@ func Load(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32,
 		st.DeviceAccesses++
 		if v, fault = m.Bus.ReadPhys(pa, size(in.Op)); fault != isa.FaultNone {
 			dataFault(m, st, fault, va, false, pc)
-			return 0, Faulted
+			return Faulted
 		}
 	case in.Op == isa.OpLDB:
 		v = uint32(m.Bus.RAM[pa])
@@ -109,26 +108,26 @@ func Load(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32,
 	}
 	m.CPU.Regs[in.Rd] = v
 	m.CPU.PC = pc + 4
-	return v, Done
+	return Done
 }
 
 // Store finishes the store in (STW, STB, STT) to va, translated as
-// for Load. It returns the stored value. A RAM store breaks every
-// exclusive reservation on the word.
-func Store(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32, flags uint8, fault isa.FaultCode) (uint32, Access) {
+// for Load. A RAM store breaks every exclusive reservation on the
+// word.
+func Store(m *machine.Machine, in isa.Inst, st *engine.Stats, pc, va, pa uint32, flags uint8, fault isa.FaultCode) Access {
 	if fault != isa.FaultNone {
 		dataFault(m, st, fault, va, true, pc)
-		return 0, Faulted
+		return Faulted
 	}
 	v := m.CPU.Regs[in.Rd]
 	if flags&RAM == 0 {
 		st.DeviceAccesses++
 		if fault = m.Bus.WritePhys(pa, size(in.Op), v); fault != isa.FaultNone {
 			dataFault(m, st, fault, va, true, pc)
-			return 0, Faulted
+			return Faulted
 		}
 		m.CPU.PC = pc + 4
-		return v, Done
+		return Done
 	}
 	if in.Op == isa.OpSTB {
 		m.Bus.RAM[pa] = byte(v)
@@ -139,48 +138,46 @@ func Store(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32
 		m.Mon.NoteStore(pa)
 	}
 	m.CPU.PC = pc + 4
-	return v, StoredRAM
+	return StoredRAM
 }
 
 // LoadEx finishes LDX: a word load that arms this hart's exclusive
 // reservation on the loaded word. Exclusives are RAM-only; a device
 // target raises a bus data fault.
-func LoadEx(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32, flags uint8, fault isa.FaultCode) (uint32, Access) {
+func LoadEx(m *machine.Machine, in isa.Inst, st *engine.Stats, pc, va, pa uint32, flags uint8, fault isa.FaultCode) Access {
 	if fault == isa.FaultNone && flags&RAM == 0 {
 		fault = isa.FaultBus
 	}
 	if fault != isa.FaultNone {
 		dataFault(m, st, fault, va, false, pc)
-		return 0, Faulted
+		return Faulted
 	}
 	m.Mon.Arm(m.HartID, pa)
-	v := m.Bus.ReadWordRAM(pa)
-	m.CPU.Regs[in.Rd] = v
+	m.CPU.Regs[in.Rd] = m.Bus.ReadWordRAM(pa)
 	m.CPU.PC = pc + 4
-	return v, Done
+	return Done
 }
 
 // StoreEx finishes STX: rb is stored to the word iff this hart
 // still holds its reservation on it, and rd gets 0 on success or 1 on
-// failure. It returns the stored value, or 1 when the store failed.
-func StoreEx(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc, va, pa uint32, flags uint8, fault isa.FaultCode) (uint32, Access) {
+// failure.
+func StoreEx(m *machine.Machine, in isa.Inst, st *engine.Stats, pc, va, pa uint32, flags uint8, fault isa.FaultCode) Access {
 	if fault == isa.FaultNone && flags&RAM == 0 {
 		fault = isa.FaultBus
 	}
 	if fault != isa.FaultNone {
 		dataFault(m, st, fault, va, true, pc)
-		return 0, Faulted
+		return Faulted
 	}
 	m.CPU.PC = pc + 4
 	if !m.Mon.Exclusive(m.HartID, pa) {
 		st.ExclusiveFails++
 		m.CPU.Regs[in.Rd] = 1
-		return 1, Done
+		return Done
 	}
 	st.MemWrites++
-	v := m.CPU.Regs[in.Rb]
-	m.Bus.WriteWordRAM(pa, v)
+	m.Bus.WriteWordRAM(pa, m.CPU.Regs[in.Rb])
 	m.Mon.NoteStore(pa) // break other harts' reservations
 	m.CPU.Regs[in.Rd] = 0
-	return v, StoredRAM
+	return StoredRAM
 }

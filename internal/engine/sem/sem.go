@@ -10,9 +10,19 @@
 //
 // Everything here is a plain function over *machine.Machine and
 // *engine.Stats, so no per-instruction path gains an interface, func
-// value or type-parameter call. The DBT engine's micro-op bodies are
-// deliberately not built on this package: they are the independent
-// implementation the differential tests check interp against.
+// value or type-parameter call. The decoded instruction is passed by
+// value, right after the machine: the two fill the nine integer
+// argument registers of Go's amd64 register ABI, so the instruction
+// reaches the semantics in registers, as it reached the engines' own
+// handlers before this package existed. That keeps each engine's
+// per-instruction cost, which the figures report, where it was: a
+// pointer made interp and native about 10% faster, and an instruction
+// placed after the stats pointer no longer fits the registers and goes
+// through the stack at up to half the speed.
+//
+// The DBT engine's micro-op bodies are deliberately not built on this
+// package: they are the independent implementation the differential
+// tests check interp against.
 package sem
 
 import (
@@ -23,9 +33,11 @@ import (
 
 // TickQuantum is the timer-tick quantum, in retired instructions per
 // hart: engines call the platform's TickFn each time a hart retires
-// another TickQuantum instructions. It equals engine.SchedQuantum, so
-// on one core the quantum boundaries and tick checks coincide.
-const TickQuantum = engine.SchedQuantum
+// another TickQuantum instructions. It is a modelled cost, behind
+// every interrupt benchmark, and is kept apart from the host
+// scheduling policy engine.SchedQuantum even though the two currently
+// coincide.
+const TickQuantum = 4096
 
 // Run is the hart rotation every engine shares: it calls slice for
 // each hart that has not halted, in hart order, until every hart has
@@ -81,10 +93,9 @@ const (
 )
 
 // Exec executes in, fetched from pc, as far as it needs no engine
-// mechanism. For a Retired instruction it returns the value written to
-// rd (0 when none); for a data access, the effective address, aligned
-// for word accesses, with the access already counted.
-func Exec(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc uint32) (uint32, Kind) {
+// mechanism. For a data access it returns the effective address,
+// aligned for word accesses, with the access already counted.
+func Exec(m *machine.Machine, in isa.Inst, st *engine.Stats, pc uint32) (uint32, Kind) {
 	c := &m.CPU
 	r := &c.Regs
 	var v uint32 // the value written to rd
@@ -246,27 +257,26 @@ func Exec(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc uint32) (uint32
 	}
 	r[in.Rd] = v
 	c.PC = pc + 4
-	return v, Retired
+	return 0, Retired
 }
 
-// Coproc executes CPRD or CPWR and returns the value read (0 for a
-// write). It reports false, changing nothing, when the access is
-// undefined: user mode, or no such coprocessor or register.
-func Coproc(m *machine.Machine, st *engine.Stats, in *isa.Inst, pc uint32) (uint32, bool) {
+// Coproc executes CPRD or CPWR. It reports false, changing nothing,
+// when the access is undefined: user mode, or no such coprocessor or
+// register.
+func Coproc(m *machine.Machine, in isa.Inst, st *engine.Stats, pc uint32) bool {
 	cp, reg := uint32(in.Imm)>>8, uint32(in.Imm)&0xFF
-	var v uint32
 	if in.Op == isa.OpCPRD {
-		var ok bool
-		if v, ok = m.CoprocRead(cp, reg); !ok {
-			return 0, false
+		v, ok := m.CoprocRead(cp, reg)
+		if !ok {
+			return false
 		}
 		m.CPU.Regs[in.Rd] = v
 	} else if !m.CoprocWrite(cp, reg, m.CPU.Regs[in.Rd]) {
-		return 0, false
+		return false
 	}
 	st.CoprocAccesses++
 	m.CPU.PC = pc + 4
-	return v, true
+	return true
 }
 
 // Undefined enters the undefined-instruction exception for the

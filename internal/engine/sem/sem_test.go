@@ -26,10 +26,10 @@ func TestExecKinds(t *testing.T) {
 		user    bool
 		in      isa.Inst
 		kind    Kind
-		v       uint32 // rd value or effective address
+		v       uint32 // effective address of a data access
 		nextPC  uint32 // 0: PC must not move
 	}{
-		{"add", machine.ProfileARM, false, isa.Inst{Op: isa.OpADD, Rd: 3, Ra: 1, Rb: 2}, Retired, 5, pc + 4},
+		{"add", machine.ProfileARM, false, isa.Inst{Op: isa.OpADD, Rd: 3, Ra: 1, Rb: 2}, Retired, 0, pc + 4},
 		{"cmp", machine.ProfileARM, false, isa.Inst{Op: isa.OpCMP, Ra: 1, Rb: 2}, Retired, 0, pc + 4},
 		{"mrs psr", machine.ProfileARM, true, isa.Inst{Op: isa.OpMRS, Rd: 3, Imm: int32(isa.CtrlPSR)}, Retired, 0, pc + 4},
 		{"mrs vbar user", machine.ProfileARM, true, isa.Inst{Op: isa.OpMRS, Rd: 3, Imm: int32(isa.CtrlVBAR)}, Undef, 0, 0},
@@ -51,9 +51,12 @@ func TestExecKinds(t *testing.T) {
 			m.CPU.PC = pc
 			m.CPU.Regs[1], m.CPU.Regs[2], m.CPU.Regs[4] = 2, 3, 0x2000
 			var st engine.Stats
-			v, k := Exec(m, &st, &tc.in, pc)
+			v, k := Exec(m, tc.in, &st, pc)
 			if k != tc.kind || v != tc.v {
 				t.Fatalf("Exec = (%#x, %d), want (%#x, %d)", v, k, tc.v, tc.kind)
+			}
+			if tc.in.Op == isa.OpADD && m.CPU.Regs[3] != 5 {
+				t.Errorf("add wrote r3 = %d, want 5", m.CPU.Regs[3])
 			}
 			want := uint32(pc)
 			if tc.nextPC != 0 {
@@ -78,26 +81,26 @@ func TestExclusiveTails(t *testing.T) {
 	in := isa.Inst{Op: isa.OpSTX, Rd: 3, Ra: 4, Rb: 1}
 	m.CPU.Regs[1] = 0xAB
 	const pa = 0x2000
-	if v, out := StoreEx(m, &st, &in, 0, pa, pa, RAM, isa.FaultNone); out != Done || v != 1 || m.CPU.Regs[3] != 1 {
-		t.Fatalf("unreserved STX = (%d, %d), rd %d", v, out, m.CPU.Regs[3])
+	if out := StoreEx(m, in, &st, 0, pa, pa, RAM, isa.FaultNone); out != Done || m.CPU.Regs[3] != 1 {
+		t.Fatalf("unreserved STX = %d, rd %d", out, m.CPU.Regs[3])
 	}
 	ld := isa.Inst{Op: isa.OpLDX, Rd: 5, Ra: 4}
-	if _, out := LoadEx(m, &st, &ld, 0, pa, pa, RAM, isa.FaultNone); out != Done {
+	if out := LoadEx(m, ld, &st, 0, pa, pa, RAM, isa.FaultNone); out != Done {
 		t.Fatal("LDX faulted")
 	}
-	if v, out := StoreEx(m, &st, &in, 0, pa, pa, RAM, isa.FaultNone); out != StoredRAM || v != 0xAB || m.CPU.Regs[3] != 0 {
-		t.Fatalf("reserved STX = (%#x, %d), rd %d", v, out, m.CPU.Regs[3])
+	if out := StoreEx(m, in, &st, 0, pa, pa, RAM, isa.FaultNone); out != StoredRAM || m.CPU.Regs[3] != 0 {
+		t.Fatalf("reserved STX = %d, rd %d", out, m.CPU.Regs[3])
 	}
 	if got := m.Bus.ReadWordRAM(pa); got != 0xAB {
 		t.Errorf("memory %#x", got)
 	}
-	if _, out := StoreEx(m, &st, &in, 0, pa, pa, RAM, isa.FaultNone); out != Done {
+	if out := StoreEx(m, in, &st, 0, pa, pa, RAM, isa.FaultNone); out != Done {
 		t.Error("second STX reused the consumed reservation")
 	}
 	if st.ExclusiveFails != 2 || st.MemWrites != 1 {
 		t.Errorf("stats %+v", st)
 	}
-	if _, out := LoadEx(m, &st, &ld, 0, pa, pa, Write|User, isa.FaultNone); out != Faulted || m.CPU.Ctrl[isa.CtrlFSR] != uint32(isa.FaultBus) {
+	if out := LoadEx(m, ld, &st, 0, pa, pa, Write|User, isa.FaultNone); out != Faulted || m.CPU.Ctrl[isa.CtrlFSR] != uint32(isa.FaultBus) {
 		t.Errorf("LDX to a device = %d, FSR %#x; want a bus fault", out, m.CPU.Ctrl[isa.CtrlFSR])
 	}
 }
