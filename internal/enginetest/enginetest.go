@@ -161,8 +161,10 @@ func RandomProgram(r *rand.Rand, n int) (*asm.Program, error) {
 				a.CMPI(reg(), int32(r.Intn(32768)))
 			}
 		case 6:
-			// Forward conditional branch.
-			target := i + 1 + r.Intn(n-i)
+			// Forward conditional branch over at most seven slots, so
+			// a taken branch skips a little of the program, not on
+			// average half of what is left.
+			target := i + 1 + r.Intn(min(8, n-i))
 			a.B(conds[r.Intn(len(conds))], asm.Label(fmt.Sprintf("L%d", target)))
 		case 7:
 			a.LDW(reg(), isa.R12, int32(r.Intn(256))*4)
