@@ -324,7 +324,7 @@ func (e *Direct) runSlice(h *hart, total *uint64, limit uint64) error {
 				sem.FetchFault(m, &e.st, fault, pc)
 				continue
 			}
-			in = h.code.Page(pa, &e.st).Inst(sem.Word(pa))
+			in = h.code.Inst(pa, &e.st)
 			// A fetch miss costs two decode-cache lookups, the second
 			// to arm the fast path; that cost is part of what the
 			// inter-page control-flow benchmarks measure here.

@@ -296,7 +296,7 @@ func (e *Interp) runSlice(h *hart, total *uint64, limit uint64) error {
 				fetchVP = ^uint32(0)
 				continue
 			}
-			in = h.code.Page(pbase, &e.st).Inst(sem.Word(pc))
+			in = h.code.Inst(pbase|pc&isa.PageMask, &e.st)
 			// Cache the translation only when every word of the page is
 			// RAM: always true under the MMU (fetchPage requires it when
 			// filling the fc), and checked explicitly for the physical

@@ -74,6 +74,13 @@ func (c *DecodeCache) Page(pa uint32, st *engine.Stats) *DecodedPage {
 	return dp
 }
 
+// Inst returns the instruction at pa: Page(pa, st).Inst(Word(pa)). It
+// is the fetch-miss path, taken when an engine's fetch fast path does
+// not hold pa's page.
+func (c *DecodeCache) Inst(pa uint32, st *engine.Stats) *isa.Inst {
+	return c.Page(pa, st).Inst(Word(pa))
+}
+
 // NoteStore stales this cache's decodes of the page a RAM store to pa
 // hit, counting an SMC invalidation if it held any. The page stays
 // allocated; only its generation advances.

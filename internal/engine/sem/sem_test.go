@@ -123,7 +123,7 @@ func TestDecodeCacheNoteStore(t *testing.T) {
 	m.Bus.WriteWordRAM(0x1004, isa.Encode(isa.Inst{Op: isa.OpHALT}))
 	c.NoteStore(0x3000, &st)
 	c.NoteStore(0x1004, &st)
-	if in := dp.Inst(Word(0x1004)); in.Op != isa.OpHALT {
+	if in := c.Inst(0x1004, &st); in.Op != isa.OpHALT {
 		t.Errorf("stale decode %v after a store", in.Op)
 	}
 	if st.SMCInvalidations != 1 {
