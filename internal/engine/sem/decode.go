@@ -76,7 +76,10 @@ func (c *DecodeCache) Page(pa uint32, st *engine.Stats) *DecodedPage {
 
 // Inst returns the instruction at pa: Page(pa, st).Inst(Word(pa)). It
 // is the fetch-miss path, taken when an engine's fetch fast path does
-// not hold pa's page.
+// not hold pa's page. It is too large to inline, so a fetch miss costs
+// a call, as it did when each engine decoded through its own function;
+// that cost is part of what the inter-page control-flow benchmarks
+// measure.
 func (c *DecodeCache) Inst(pa uint32, st *engine.Stats) *isa.Inst {
 	return c.Page(pa, st).Inst(Word(pa))
 }

@@ -15,10 +15,10 @@
 // argument registers of Go's amd64 register ABI, so the instruction
 // reaches the semantics in registers, as it reached the engines' own
 // handlers before this package existed. That keeps each engine's
-// per-instruction cost, which the figures report, where it was: a
-// pointer made interp and native about 10% faster, and an instruction
-// placed after the stats pointer no longer fits the registers and goes
-// through the stack at up to half the speed.
+// per-instruction cost, which the figures report, close to where it
+// was: a pointer made interp and native about 10% faster, and an
+// instruction placed after the stats pointer no longer fits the
+// registers and goes through the stack at up to half the speed.
 //
 // The DBT engine's micro-op bodies are deliberately not built on this
 // package: they are the independent implementation the differential

@@ -123,7 +123,7 @@ func Diff(outcomes map[string]Outcome) string {
 const dataBase = 0x9000
 
 // RandomProgram generates a terminating random program exercising ALU
-// operations, flags, forward branches, calls, word, byte and exclusive
+// operations, flags, short forward branches, word, byte and exclusive
 // accesses to the scratch page, UART stores (the device path) and
 // control-register reads. Control flow only moves forward, so
 // termination is structural.
